@@ -32,6 +32,11 @@ use crate::transport::Frame;
 /// Common header length: `type, flags, hlen, rsvd, plen(u32), crc(u32)`.
 pub const HEADER_LEN: usize = 12;
 
+/// Largest non-payload part of any PDU: a command capsule carrying
+/// inline data (common header, SQE, flags, data length). A frame holding
+/// `n` payload bytes is never longer than `n + MAX_HEADER_LEN`.
+pub const MAX_HEADER_LEN: usize = HEADER_LEN + COMMAND_WIRE_LEN + 1 + 4;
+
 /// Byte offset of the CRC32 word within the common header.
 const CRC_OFFSET: usize = 8;
 

@@ -431,6 +431,20 @@ impl ShmTransport {
         )
     }
 
+    /// Per-direction ring capacity for a connection whose data PDUs
+    /// carry at most `max_payload` bytes: the smallest power of two
+    /// whose largest frame holds that payload plus the largest PDU
+    /// header.
+    pub fn capacity_for(max_payload: usize) -> u64 {
+        use oaf_shmem::byte_ring::ByteRing;
+        let frame = max_payload + crate::pdu::MAX_HEADER_LEN;
+        let mut capacity = 64u64;
+        while ByteRing::max_frame_for(capacity) < frame {
+            capacity *= 2;
+        }
+        capacity
+    }
+
     /// Largest frame the transport can carry.
     pub fn max_frame(&self) -> usize {
         self.tx.max_frame()
@@ -870,6 +884,21 @@ mod tests {
         assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::from_static(b"ping"));
         assert_eq!(a.try_recv().unwrap().unwrap(), Bytes::from_static(b"pong"));
         assert!(a.try_recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn ring_capacity_holds_a_full_chunk_plus_header() {
+        let cap = ShmTransport::capacity_for(128 * 1024);
+        assert_eq!(
+            cap,
+            512 * 1024,
+            "256 KiB rings cannot hold 128 KiB + header"
+        );
+        let (a, b) = ShmTransport::pair(cap);
+        let frame = vec![7u8; 128 * 1024 + crate::pdu::MAX_HEADER_LEN];
+        a.send_frame(&frame).unwrap();
+        assert_eq!(b.try_recv().unwrap().unwrap().len(), frame.len());
+        assert!(ShmTransport::capacity_for(4096) < cap);
     }
 
     #[test]

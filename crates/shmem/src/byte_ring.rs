@@ -134,9 +134,14 @@ impl ByteRing {
 
     /// Largest frame this ring can ever carry.
     pub fn max_frame(&self) -> usize {
+        Self::max_frame_for(self.capacity)
+    }
+
+    /// Largest frame a ring of `capacity` data bytes can carry.
+    pub const fn max_frame_for(capacity: u64) -> usize {
         // A frame must fit contiguously: capacity minus header, and the
         // ring must never fill completely.
-        (self.capacity - HDR - 1) as usize / 2
+        (capacity - HDR - 1) as usize / 2
     }
 
     fn head(&self) -> &AtomicU64 {
