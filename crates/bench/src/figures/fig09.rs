@@ -6,7 +6,7 @@
 //! target memory for little gain; 512 KiB is the sweet spot for 25 G.
 
 use oaf_core::sim::{run_uniform, FabricKind, Pattern};
-use oaf_core::tcp_opt::{ChunkCostModel, ChunkSelector};
+use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector};
 use oaf_simnet::time::SimDuration;
 use oaf_simnet::units::{Rate, KIB, MIB};
 
@@ -58,8 +58,8 @@ pub fn run() -> FigureReport {
         .0;
     // The analytic selector's pick (what the adaptive fabric would use).
     let selector = ChunkSelector::new(ChunkCostModel {
-        per_chunk_cpu: SimDuration::from_micros(12),
-        goodput: Rate::gbps(25.0).scaled(0.94),
+        per_chunk_cpu: std::time::Duration::from_micros(12),
+        goodput_bytes_per_sec: Rate::gbps(25.0).scaled(0.94).as_bytes_per_sec(),
         mem_quad_us_at_512k: 14.0,
     });
     let picked = selector.select(&ios);

@@ -3,14 +3,16 @@
 //! NVMe-over-Adaptive-Fabric accelerates NVMe-oF by *adaptively and
 //! transparently* combining two channels: an optimized shared-memory data
 //! path for co-located client/target pairs, and an optimized TCP path for
-//! everything else. The control plane always runs over the existing
-//! NVMe/TCP connection; only bulk payloads switch fabrics.
+//! everything else. Locality alone decides both channels: a co-located
+//! pair carries payloads in shared-memory slots and control PDUs over
+//! in-region byte rings (§5.5); a remote pair runs NVMe/TCP.
 //!
 //! The three architectural components of Fig. 4:
 //!
-//! * [`conn`] — the **Connection Manager**: TCP handshake, adaptive-fabric
-//!   capability negotiation via ICReq/ICResp, AF endpoint objects, and
-//!   resource reclamation (§4.1);
+//! * [`conn`] — the **Connection Manager**: one function that brings
+//!   every connection up — locality verdict, control channel,
+//!   adaptive-fabric capability negotiation via ICReq/ICResp, AF
+//!   endpoint objects (§4.1);
 //! * [`buf`] — the **Buffer Manager**: DPDK-style pooled buffers for the
 //!   TCP path, shared-memory slots and zero-copy leases for the local
 //!   path (§4.1, §4.4.3);
@@ -22,16 +24,16 @@
 //!
 //! * [`flow`] — shared-memory flow control: in-capsule semantics for every
 //!   I/O size, eliminating two of four control messages per write (§4.4.2);
-//! * [`tcp_opt`] — TCP-channel optimizations: application-level chunk-size
-//!   selection (Fig. 9) and workload-adaptive busy polling (Fig. 10, §4.5);
 //! * [`payload_impl`] — the lock-free double-buffer payload channel
 //!   implementing [`oaf_nvmeof::PayloadChannel`] over real shared memory,
 //!   plus the locked baseline variant for the Fig. 8 ablation.
 //!
 //! Runtime and evaluation:
 //!
-//! * [`runtime`] — the real (threaded) NVMe-oAF runtime: a target and
-//!   client pair that negotiates the fabric and moves actual bytes;
+//! * [`runtime`] — the real (threaded) NVMe-oAF runtime: a storage
+//!   service and its clients that negotiate the fabric and move actual
+//!   bytes (the TCP-channel tuning of §4.5 — chunk-size selection and
+//!   adaptive busy polling — lives in `oaf_nvmeof::tune`);
 //! * [`sim`] — the discrete-event model of every fabric the paper
 //!   evaluates (NVMe/TCP at 10/25/100 Gbps, NVMe/RDMA, NVMe/RoCE, the
 //!   four NVMe-oSHM ablation variants, and NVMe-oAF itself), used by the
@@ -49,8 +51,7 @@ pub mod payload_impl;
 pub mod runtime;
 pub mod sim;
 pub mod stats;
-pub mod tcp_opt;
 
-pub use conn::ConnectionManager;
+pub use conn::establish;
 pub use endpoint::{AfEndpoint, ChannelKind};
 pub use locality::HostRegistry;

@@ -11,6 +11,7 @@
 //! processing, including the client-side buffer fill and copy-out the
 //! zero-copy design removes).
 
+use oaf_nvmeof::tune;
 use oaf_simnet::time::{SimDuration, SimTime};
 use oaf_simnet::units::{Rate, KIB};
 use oaf_ssd::IoOp;
@@ -85,10 +86,10 @@ impl FabricKind {
                 // The adaptive fabric tunes its TCP fallback per link:
                 // chunk size from the analytic selector (§4.5, Fig. 9)
                 // and the busy-poll controller's steady-state budget
-                // (see `tcp_opt::BusyPollController`).
-                let selector = crate::tcp_opt::ChunkSelector::new(crate::tcp_opt::ChunkCostModel {
-                    per_chunk_cpu: SimDuration::from_micros(12),
-                    goodput: oaf_simnet::units::Rate::gbps(tcp_gbps).scaled(0.94),
+                // (see `oaf_nvmeof::tune::BusyPollController`).
+                let selector = tune::ChunkSelector::new(tune::ChunkCostModel {
+                    per_chunk_cpu: std::time::Duration::from_micros(12),
+                    goodput_bytes_per_sec: Rate::gbps(tcp_gbps).scaled(0.94).as_bytes_per_sec(),
                     mem_quad_us_at_512k: 14.0,
                 });
                 let mix = [128 * KIB, 512 * KIB, 1024 * KIB, 2048 * KIB];

@@ -17,9 +17,9 @@
 //!   rate-limited wrapper emulating NIC speeds in wall-clock time), and
 //! * a polled [`target::TargetConnection`] / [`initiator::Initiator`]
 //!   pair that actually moves bytes into a [`oaf_ssd::RamDisk`]-backed
-//!   namespace, plus a multi-connection storage service
-//!   ([`server::spawn_multi`]) matching the paper's one-service,
-//!   many-clients architecture (Fig. 1),
+//!   namespace, served by one poll-mode reactor loop ([`shard`]) that
+//!   runs every target — one connection, or the paper's one service for
+//!   many clients (Fig. 1), on one or more shard threads,
 //! * an in-region duplex control transport
 //!   ([`transport::ShmTransport`]) over lock-free byte rings — the §5.5
 //!   future-work configuration where control PDUs leave kernel TCP too.

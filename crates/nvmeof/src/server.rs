@@ -1,15 +1,15 @@
-//! The multi-connection storage service.
+//! The poll-mode reactor: one connection set, one idle policy.
 //!
 //! The paper's architecture (Fig. 1) has one storage service per target
 //! VM serving several client applications, each over its own connection
 //! and — when co-located — its own isolated shared-memory channel (§4.2,
-//! §6). [`spawn_multi`] runs a single poll-mode reactor (an SPDK poll
-//! group) that services every connection against one shared controller
-//! set.
+//! §6). A `Reactor` is one SPDK-style poll group over such a connection
+//! set; [`crate::shard`] runs one reactor per shard thread, and every
+//! target in this crate — a single connection included — is a sharded
+//! target (1 shard × N connections at its smallest).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
@@ -17,12 +17,12 @@ use crate::error::NvmeofError;
 use crate::nvme::controller::Controller;
 use crate::payload::PayloadChannel;
 use crate::pdu::Pdu;
-use crate::target::{TargetConfig, TargetConnection, TargetHandle};
-use crate::transport::Transport;
+use crate::target::{TargetConfig, TargetConnection};
+use crate::transport::{BackoffConfig, Transport, WaitLadder, WaitStep};
 use crate::tune::{BusyPollController, PollClass};
 use oaf_telemetry::Registry;
 
-/// One client connection a [`spawn_multi`] reactor services.
+/// One client connection a reactor services.
 pub struct ConnectionSpec {
     /// The connection's control transport.
     pub transport: Box<dyn Transport>,
@@ -37,9 +37,10 @@ pub struct ConnectionSpec {
 }
 
 /// A wired, servable connection owned by exactly one reactor. Opaque
-/// outside the crate: instances are built by the spawn functions (or
-/// [`crate::shard::ShardedTarget::add_connection`]) and only ever
-/// travel *into* a reactor, never out.
+/// outside the crate: instances are built by
+/// [`crate::shard::spawn_sharded`] (or
+/// [`crate::shard::ShardedTarget::add_connection`]) and only ever travel
+/// *into* a reactor, never out.
 pub struct LiveConnection {
     transport: Box<dyn Transport>,
     conn: TargetConnection,
@@ -74,32 +75,34 @@ impl LiveConnection {
     }
 }
 
-/// One poll-mode reactor's connection set and idle policy — the reusable
-/// core of both [`spawn_multi`] (one reactor, every connection) and the
-/// sharded runtime in [`crate::shard`] (one reactor per shard, each
-/// owning a disjoint connection set).
+/// One poll-mode reactor's connection set and idle policy. Each shard
+/// of [`crate::shard::spawn_sharded`] owns one, over a disjoint
+/// connection set.
 pub(crate) struct Reactor {
     live: Vec<LiveConnection>,
     poller: BusyPollController,
-    last_work: std::time::Instant,
-    idle_sleep: Duration,
+    last_work: Instant,
+    /// The wait since the last progress, started on the first idle pass.
+    idle: Option<WaitLadder>,
 }
 
 impl Reactor {
     // Workload-adaptive idle policy (§4.5, Fig. 10): the reactor learns
     // the typical gap between work arrivals and keeps spinning while the
-    // next frame is expected imminently; past that budget it backs off
-    // exponentially so an idle reactor does not burn a core.
-    const IDLE_SLEEP_MIN: Duration = Duration::from_micros(5);
-    const IDLE_SLEEP_MAX: Duration = Duration::from_micros(500);
+    // next frame is expected imminently; past that budget it descends
+    // the transport wait ladder (yields, then bounded sleeps) so an idle
+    // reactor does not burn a core.
     const GAP_CLAMP: Duration = Duration::from_millis(1);
+    /// Horizon of one idle ladder; a reactor idle for longer simply
+    /// starts a new one.
+    const IDLE_HORIZON: Duration = Duration::from_secs(60);
 
     pub(crate) fn new(live: Vec<LiveConnection>) -> Self {
         Reactor {
             live,
             poller: BusyPollController::new(),
-            last_work: std::time::Instant::now(),
-            idle_sleep: Self::IDLE_SLEEP_MIN,
+            last_work: Instant::now(),
+            idle: None,
         }
     }
 
@@ -108,10 +111,6 @@ impl Reactor {
     /// owning thread ever touches the set).
     pub(crate) fn add(&mut self, conn: LiveConnection) {
         self.live.push(conn);
-    }
-
-    pub(crate) fn any_alive(&self) -> bool {
-        self.live.iter().any(|l| l.alive)
     }
 
     pub(crate) fn alive_count(&self) -> usize {
@@ -196,158 +195,31 @@ impl Reactor {
         Ok(drained_total)
     }
 
-    /// Advances the adaptive idle policy after a poll pass: spin while
-    /// the next arrival is expected within the learned budget, back off
-    /// exponentially past it.
+    /// Advances the adaptive idle policy after a poll pass: spin for the
+    /// learned budget after the last progress, then yield, then sleep in
+    /// bounded slices ([`WaitLadder`]).
     pub(crate) fn idle_step(&mut self, progressed: bool) {
         if progressed {
             self.poller.observe(
                 PollClass::Read,
                 self.last_work.elapsed().min(Self::GAP_CLAMP),
             );
-            self.last_work = std::time::Instant::now();
-            self.idle_sleep = Self::IDLE_SLEEP_MIN;
-        } else if self.last_work.elapsed() < self.poller.budget(PollClass::Read) {
-            std::hint::spin_loop();
-        } else {
-            std::thread::sleep(self.idle_sleep);
-            self.idle_sleep = (self.idle_sleep * 2).min(Self::IDLE_SLEEP_MAX);
+            self.last_work = Instant::now();
+            self.idle = None;
+            return;
         }
-    }
-}
-
-/// Spawns one reactor servicing `conns` connections over a shared
-/// controller. The reactor exits once every connection has terminated or
-/// the handle requests shutdown.
-pub fn spawn_multi(controller: Controller, conns: Vec<ConnectionSpec>) -> TargetHandle {
-    spawn_multi_observed(controller, conns, None)
-}
-
-/// [`spawn_multi`] with telemetry: each connection's target-side metric
-/// bundle is registered into `registry` under the spec's scope name (or
-/// `target_conn<index>`) before the reactor starts, so observers see the
-/// per-connection split from the first served command.
-pub fn spawn_multi_observed(
-    mut controller: Controller,
-    conns: Vec<ConnectionSpec>,
-    registry: Option<&Registry>,
-) -> TargetHandle {
-    let live_init: Vec<LiveConnection> = conns
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| LiveConnection::build(c, i, registry))
-        .collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let join = std::thread::Builder::new()
-        .name("nvmeof-target-multi".into())
-        .spawn(move || {
-            let mut reactor = Reactor::new(live_init);
-            while !stop2.load(Ordering::Acquire) && reactor.any_alive() {
-                let drained = reactor.poll_pass(&mut controller)?;
-                reactor.idle_step(drained > 0);
-            }
-            Ok(())
-        })
-        .expect("spawn multi-target thread");
-    TargetHandle::from_parts(stop, join)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::initiator::{Initiator, InitiatorOptions};
-    use crate::nvme::namespace::Namespace;
-    use crate::transport::MemTransport;
-    use bytes::Bytes;
-
-    const TIMEOUT: Duration = Duration::from_secs(5);
-
-    fn controller() -> Controller {
-        let mut c = Controller::new();
-        c.add_namespace(Namespace::new(1, 4096, 2048));
-        c
-    }
-
-    #[test]
-    fn two_clients_share_one_service() {
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
-        let handle = spawn_multi(
-            controller(),
-            vec![
-                ConnectionSpec {
-                    transport: Box::new(t1),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-                ConnectionSpec {
-                    transport: Box::new(t2),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-            ],
-        );
-        let mut a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
-        let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
-
-        // Writes through one connection are visible through the other:
-        // it is one storage service.
-        a.write_blocking(1, 0, 1, Bytes::from(vec![0xaa; 4096]), TIMEOUT)
-            .unwrap();
-        let via_b = b.read_blocking(1, 0, 1, 4096, TIMEOUT).unwrap();
-        assert!(via_b.iter().all(|&x| x == 0xaa));
-
-        // And concurrent disjoint traffic does not interfere.
-        b.write_blocking(1, 10, 1, Bytes::from(vec![0xbb; 4096]), TIMEOUT)
-            .unwrap();
-        assert!(a
-            .read_blocking(1, 10, 1, 4096, TIMEOUT)
-            .unwrap()
-            .iter()
-            .all(|&x| x == 0xbb));
-        assert!(a
-            .read_blocking(1, 0, 1, 4096, TIMEOUT)
-            .unwrap()
-            .iter()
-            .all(|&x| x == 0xaa));
-
-        a.disconnect().unwrap();
-        b.disconnect().unwrap();
-        handle.shutdown().unwrap();
-    }
-
-    #[test]
-    fn reactor_survives_one_client_hanging_up() {
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
-        let handle = spawn_multi(
-            controller(),
-            vec![
-                ConnectionSpec {
-                    transport: Box::new(t1),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-                ConnectionSpec {
-                    transport: Box::new(t2),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-            ],
-        );
-        let a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
-        let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
-        drop(a); // client 1 vanishes without a TermReq
-        for i in 0..8 {
-            b.write_blocking(1, i, 1, Bytes::from(vec![i as u8; 4096]), TIMEOUT)
-                .unwrap();
+        let budget = self.poller.budget(PollClass::Read);
+        let ladder = self.idle.get_or_insert_with(|| {
+            WaitLadder::until_with_spin(
+                Instant::now() + Self::IDLE_HORIZON,
+                &BackoffConfig::default(),
+                budget,
+            )
+        });
+        match ladder.step() {
+            WaitStep::Again => {}
+            WaitStep::Sleep(d) => std::thread::sleep(d),
+            WaitStep::Expired => self.idle = None,
         }
-        b.disconnect().unwrap();
-        handle.shutdown().unwrap();
     }
 }

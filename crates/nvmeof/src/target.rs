@@ -4,15 +4,14 @@
 //! pure function — frames in, frames out — which keeps every flow
 //! (handshake, in-capsule write, conservative R2T write, inline-chunked
 //! read, shared-memory read/write) unit-testable without threads.
-//! [`spawn_target`] wraps it in the polled reactor thread the examples and
-//! integration tests run, mirroring SPDK's poll-mode target design (§2.2).
+//! [`spawn_target`] serves one connection on the polled reactor of
+//! [`crate::shard`], mirroring SPDK's poll-mode target design (§2.2).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::NvmeofError;
 use crate::metrics::TargetMetrics;
@@ -741,135 +740,30 @@ impl TargetConnection {
     }
 }
 
-/// Handle to a running target reactor thread.
-pub struct TargetHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<Result<(), NvmeofError>>>,
-}
+/// Handle to a running target: the one handle type every target in this
+/// crate returns (see [`crate::shard`]).
+pub type TargetHandle = crate::shard::ShardedTarget;
 
-impl TargetHandle {
-    /// Assembles a handle from a stop flag and reactor join handle (used
-    /// by the multi-connection server in [`crate::server`]).
-    pub fn from_parts(
-        stop: Arc<AtomicBool>,
-        join: std::thread::JoinHandle<Result<(), NvmeofError>>,
-    ) -> Self {
-        TargetHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-
-    /// Requests shutdown and joins the reactor.
-    pub fn shutdown(mut self) -> Result<(), NvmeofError> {
-        self.stop.store(true, Ordering::Release);
-        match self.join.take() {
-            Some(h) => h
-                .join()
-                .map_err(|_| NvmeofError::Protocol("target reactor panicked".into()))?,
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for TargetHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.join.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Spawns a polled target reactor serving one connection.
+/// Spawns a target serving one connection: one reactor shard owning
+/// that connection.
 pub fn spawn_target<T: Transport + 'static>(
     transport: T,
     controller: Controller,
     cfg: TargetConfig,
     payload: Option<Arc<dyn PayloadChannel>>,
 ) -> TargetHandle {
-    spawn_target_observed(transport, controller, cfg, payload, None)
-}
-
-/// [`spawn_target`] with telemetry: the connection's target-side metric
-/// bundle is registered into `registry` under the `target` scope before
-/// the reactor starts.
-pub fn spawn_target_observed<T: Transport + 'static>(
-    transport: T,
-    mut controller: Controller,
-    cfg: TargetConfig,
-    payload: Option<Arc<dyn PayloadChannel>>,
-    registry: Option<&oaf_telemetry::Registry>,
-) -> TargetHandle {
-    let conn_init = TargetConnection::new(cfg, payload);
-    if let Some(reg) = registry {
-        conn_init.metrics().register(&reg.scope("target"));
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let join = std::thread::Builder::new()
-        .name("nvmeof-target".into())
-        .spawn(move || {
-            let mut conn = conn_init;
-            // Reusable per-connection buffers: the steady-state loop
-            // allocates nothing — frames arrive borrowed, responses are
-            // encoded into `scratch` and sent as borrowed slices.
-            let mut out: Vec<Pdu> = Vec::new();
-            let mut scratch = BytesMut::with_capacity(4096);
-            while !stop2.load(Ordering::Acquire) && !conn.terminated() {
-                // Drain every frame already ready in one batched pass.
-                let mut err = None;
-                let drained = {
-                    let conn = &mut conn;
-                    let controller = &mut controller;
-                    let out = &mut out;
-                    transport.recv_batch(&mut |frame| {
-                        if err.is_none() {
-                            if let Err(e) = conn.handle(frame, controller, out) {
-                                err = Some(e);
-                            }
-                        }
-                    })
-                };
-                match (drained, err) {
-                    (Err(NvmeofError::TransportClosed), _) => break,
-                    (Err(e), _) | (_, Some(e)) => return Err(e),
-                    (Ok(n), None) => {
-                        // Probe the sync-done queue: completions parked
-                        // on offloaded barriers release here, without
-                        // waiting for new frames.
-                        let released = conn.poll_parked(&controller, &mut out);
-                        for pdu in out.drain(..) {
-                            scratch.clear();
-                            pdu.encode_into(&mut scratch);
-                            match transport.send_frame(&scratch) {
-                                Ok(()) => {}
-                                Err(NvmeofError::TransportClosed) => return Ok(()),
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        if n == 0 && released == 0 {
-                            // Idle: bounded spin→yield wait inside the
-                            // transport, never a blind spin.
-                            match transport.recv_timeout(Duration::from_millis(1)) {
-                                Ok(Some(frame)) => {
-                                    conn.handle(Frame::Owned(frame), &mut controller, &mut out)?
-                                }
-                                Ok(None) => {}
-                                Err(NvmeofError::TransportClosed) => break,
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })
-        .expect("spawn target thread");
-    TargetHandle {
-        stop,
-        join: Some(join),
-    }
+    let spec = crate::server::ConnectionSpec {
+        transport: Box::new(transport),
+        cfg,
+        payload,
+        scope: None,
+    };
+    crate::shard::spawn_sharded(
+        controller,
+        vec![spec],
+        crate::shard::ShardConfig::new(1),
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -877,6 +771,7 @@ mod tests {
     use super::*;
     use crate::nvme::namespace::Namespace;
     use crate::pdu::ICReq;
+    use std::time::Duration;
 
     fn controller() -> Controller {
         let mut c = Controller::new();

@@ -1,9 +1,9 @@
 //! Runtime tuning knobs for the TCP data path (§4.5).
 //!
 //! The paper's two inter-node optimizations, expressed on plain
-//! [`std::time::Duration`] + `f64` so the *real* socket transport and the
-//! simulator share one implementation (`oaf_core::tcp_opt` keeps its
-//! simulation-typed API as thin wrappers over this module):
+//! [`std::time::Duration`] + `f64` so the *real* socket transport, the
+//! target reactor's idle policy and the simulator (which converts its
+//! `SimDuration`/`Rate` at the call site) share one implementation:
 //!
 //! * **Application-level chunk size.** Stock NVMe/TCP statically splits
 //!   I/O into 128 KiB sub-requests, and the chunk size also sizes the
@@ -209,6 +209,32 @@ mod tests {
         let sel = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
         let mix = [128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
         assert_eq!(sel.select(&mix), 512 * KIB);
+    }
+
+    #[test]
+    fn tiny_chunks_lose_to_cpu_cost() {
+        let m = ChunkCostModel::for_link_gbps(25.0);
+        assert!(m.cost_us(2 * MIB, 64 * KIB) > m.cost_us(2 * MIB, 512 * KIB));
+    }
+
+    #[test]
+    fn huge_chunks_lose_to_memory_penalty() {
+        let m = ChunkCostModel::for_link_gbps(25.0);
+        assert!(m.cost_us(128 * KIB, 2 * MIB) > m.cost_us(128 * KIB, 512 * KIB));
+    }
+
+    #[test]
+    fn controller_adapts_when_workload_shifts() {
+        let mut c = BusyPollController::new();
+        for _ in 0..400 {
+            c.observe(PollClass::Read, Duration::from_micros(18));
+        }
+        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(25));
+        for _ in 0..800 {
+            c.observe(PollClass::Read, Duration::from_micros(70));
+        }
+        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(100));
+        assert_eq!(c.samples(), 1200);
     }
 
     #[test]

@@ -166,6 +166,7 @@ struct SyncCtl {
     delay_ns: AtomicU64,
     fail: AtomicBool,
     hold: AtomicBool,
+    held: AtomicU64,
     syncs: AtomicU64,
 }
 
@@ -223,6 +224,11 @@ impl SharedMemVfs {
         self.ctl.hold.store(hold, Ordering::SeqCst);
     }
 
+    /// Syncs currently frozen in flight by [`hold_syncs`](Self::hold_syncs).
+    pub fn held_syncs(&self) -> u64 {
+        self.ctl.held.load(Ordering::SeqCst)
+    }
+
     /// Completed (successful) syncs across all clones.
     pub fn syncs(&self) -> u64 {
         self.ctl.syncs.load(Ordering::SeqCst)
@@ -243,8 +249,12 @@ impl Vfs for SharedMemVfs {
         if delay > 0 {
             std::thread::sleep(Duration::from_nanos(delay));
         }
-        while self.ctl.hold.load(Ordering::SeqCst) {
-            std::thread::yield_now();
+        if self.ctl.hold.load(Ordering::SeqCst) {
+            self.ctl.held.fetch_add(1, Ordering::SeqCst);
+            while self.ctl.hold.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            self.ctl.held.fetch_sub(1, Ordering::SeqCst);
         }
         if self.ctl.fail.load(Ordering::SeqCst) {
             return Err(io::Error::other("injected sync failure"));

@@ -10,10 +10,10 @@
 //! cargo run --release --example perf -- --backend file:/tmp/oaf.img --cache 4096 16 32 0 2 local
 //! ```
 //!
-//! With `--shards N` the storage service runs the thread-per-core
-//! sharded runtime: N reactor threads, N clients (one per shard,
-//! round-robin steering), the queue depth split evenly across them. The
-//! summary then includes the per-shard ops split.
+//! The storage service runs `--shards N` reactor threads (default 1)
+//! with N clients (one per shard, round-robin steering), the queue
+//! depth split evenly across them. The summary includes the per-shard
+//! ops split.
 //!
 //! With `--backend file:<path>` the namespace is served by the durable
 //! log-structured store instead of RAM: every write is journaled to the
@@ -32,7 +32,7 @@ use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::oaf::conn::FabricSettings;
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::{launch, launch_many_sharded, AfClient};
+use nvme_oaf::oaf::runtime::{launch_many_sharded, AfClient};
 use oaf_telemetry::Reporter;
 use rand::{Rng, SeedableRng};
 
@@ -40,14 +40,13 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--shards N` is stripped before the positional arguments so it can
     // appear anywhere.
-    let mut shards: Option<usize> = None;
+    let mut shards = 1usize;
     if let Some(pos) = args.iter().position(|a| a == "--shards") {
-        let n = args
+        shards = args
             .get(pos + 1)
             .and_then(|s| s.parse().ok())
             .expect("--shards takes a shard count");
-        assert!(n >= 1, "--shards takes a positive shard count");
-        shards = Some(n);
+        assert!(shards >= 1, "--shards takes a positive shard count");
         args.drain(pos..=pos + 1);
     }
     // `--backend ram` (default) or `--backend file:<path>`, also
@@ -150,175 +149,18 @@ fn main() {
         }
     }
 
-    if let Some(shards) = shards {
-        run_sharded(
-            controller,
-            shards,
-            io_kib,
-            qd,
-            read_pct,
-            seconds,
-            local,
-            nlb,
-            capacity_blocks,
-            fua,
-        );
-        return;
-    }
-
-    let registry = Arc::new(HostRegistry::new());
-    let target_host = if local { 1 } else { 2 };
-    let settings = FabricSettings {
-        depth: qd.max(8),
-        slot_size: io_bytes as usize,
-        ..FabricSettings::default()
-    };
-    let mut pair = launch(
-        &registry,
-        (ProcessId(1), 1),
-        (ProcessId(2), target_host),
+    run(
         controller,
-        settings,
-    )
-    .expect("fabric establishment");
-
-    println!(
-        "perf: {io_kib}KiB, QD{qd}, {read_pct}% reads, {seconds}s, fabric = {}",
-        if pair.client.shm_active() {
-            "shared-memory (oAF)"
-        } else {
-            "TCP"
-        }
+        shards,
+        io_kib,
+        qd,
+        read_pct,
+        seconds,
+        local,
+        nlb,
+        capacity_blocks,
+        fua,
     );
-
-    // Periodic telemetry: once a second, print the per-interval delta
-    // straight from the runtime's registry — completions, inflight
-    // depth, and the initiator's read-latency p99 — without touching
-    // the I/O loop below.
-    let io_bytes_f = io_bytes as f64;
-    let reporter = Reporter::spawn(
-        pair.telemetry.clone(),
-        Duration::from_secs(1),
-        move |cum, delta| {
-            let ios = delta.counter("client", "completions");
-            let inflight = cum.gauge("client", "inflight").map(|(v, _)| v).unwrap_or(0);
-            let p99_us = delta
-                .histo("client", "lat_read_ns")
-                .or_else(|| delta.histo("client", "lat_write_ns"))
-                .map(|h| h.p99() as f64 / 1e3)
-                .unwrap_or(0.0);
-            eprintln!(
-                "[telemetry] {ios} IOPS, {:.0} MiB/s, inflight {inflight}, p99 ~{p99_us:.0}us",
-                ios as f64 * io_bytes_f / (1u64 << 20) as f64
-            );
-        },
-    );
-
-    // Pre-write the LBA range so reads return real data.
-    let span_ios = 64u64.min(capacity_blocks / u64::from(nlb));
-    for i in 0..span_ios {
-        let mut buf = pair.client.alloc(io_bytes as usize).expect("buffer");
-        buf.fill((i % 251) as u8);
-        pair.client
-            .write(1, i * u64::from(nlb), nlb, buf, Duration::from_secs(10))
-            .expect("prefill write");
-    }
-
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-    let deadline = Instant::now() + Duration::from_secs(seconds);
-    let t0 = Instant::now();
-    let mut completed: u64 = 0;
-    let mut lat_sum = Duration::ZERO;
-    let mut lats_us: Vec<f64> = Vec::with_capacity(1 << 20);
-    let mut submit_times: std::collections::HashMap<u16, Instant> =
-        std::collections::HashMap::new();
-
-    let submit = |client: &mut nvme_oaf::oaf::runtime::AfClient,
-                  rng: &mut rand::rngs::SmallRng,
-                  submit_times: &mut std::collections::HashMap<u16, Instant>| {
-        let slot = rng.gen_range(0..span_ios);
-        let lba = slot * u64::from(nlb);
-        let cid = if rng.gen_range(0..100u32) < read_pct {
-            client
-                .submit_read(1, lba, nlb, io_bytes as usize)
-                .expect("submit read")
-        } else {
-            let mut buf = client.alloc(io_bytes as usize).expect("buffer");
-            buf.fill((slot % 251) as u8);
-            if fua {
-                client
-                    .submit_write_fua(1, lba, nlb, buf)
-                    .expect("submit fua write")
-            } else {
-                client.submit_write(1, lba, nlb, buf).expect("submit write")
-            }
-        };
-        submit_times.insert(cid, Instant::now());
-    };
-
-    for _ in 0..qd {
-        submit(&mut pair.client, &mut rng, &mut submit_times);
-    }
-    while Instant::now() < deadline {
-        for done in pair.client.poll().expect("poll") {
-            assert!(done.status.is_ok(), "I/O failed: {:?}", done.status);
-            if let Some(t) = submit_times.remove(&done.cid) {
-                let d = t.elapsed();
-                lat_sum += d;
-                lats_us.push(d.as_secs_f64() * 1e6);
-            }
-            completed += 1;
-            submit(&mut pair.client, &mut rng, &mut submit_times);
-        }
-        std::hint::spin_loop();
-    }
-    // Drain.
-    let drain_deadline = Instant::now() + Duration::from_secs(5);
-    while !submit_times.is_empty() && Instant::now() < drain_deadline {
-        for done in pair.client.poll().expect("poll") {
-            submit_times.remove(&done.cid);
-            completed += 1;
-        }
-    }
-
-    let elapsed = t0.elapsed().as_secs_f64();
-    let mib = completed as f64 * io_bytes as f64 / (1u64 << 20) as f64 / elapsed;
-    let iops = completed as f64 / elapsed;
-    let avg_lat_us = if completed > 0 {
-        lat_sum.as_secs_f64() * 1e6 / completed as f64
-    } else {
-        0.0
-    };
-    println!("{completed} IOs in {elapsed:.2}s: {mib:.0} MiB/s, {iops:.0} IOPS, avg latency {avg_lat_us:.1}us");
-    if !lats_us.is_empty() {
-        lats_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let q = |p: f64| lats_us[((lats_us.len() - 1) as f64 * p) as usize];
-        println!(
-            "latency percentiles: p50 {:.1}us  p90 {:.1}us  p99 {:.1}us  p99.9 {:.1}us  max {:.1}us",
-            q(0.50), q(0.90), q(0.99), q(0.999), lats_us[lats_us.len() - 1]
-        );
-    }
-    let stats = pair.client.stats();
-    println!(
-        "client stats: {} writes ({}% zero-copy), {} reads, {} errors",
-        stats.writes,
-        (stats.zero_copy_fraction() * 100.0) as u32,
-        stats.reads,
-        stats.errors
-    );
-    reporter.stop();
-    // Final registry view: transport-level frame accounting for the run.
-    let snap = pair.telemetry.snapshot();
-    println!(
-        "transport: {} frames sent / {} received, {} ring-full events",
-        snap.counter("transport_client", "frames_sent"),
-        snap.counter("transport_client", "frames_received"),
-        snap.counter("transport_client", "ring_full"),
-    );
-    print_store_report(&snap);
-
-    pair.client.disconnect().expect("disconnect");
-    pair.target.shutdown().expect("shutdown");
 }
 
 /// Durable-store accounting: journal/fsync, group-commit coalescing,
@@ -369,10 +211,10 @@ fn print_store_report(snap: &oaf_telemetry::Snapshot) {
     }
 }
 
-/// The sharded load loop: N clients round-robined onto N reactor
-/// shards, queue depth split evenly, disjoint LBA ranges per client.
+/// The load loop: N clients round-robined onto N reactor shards, queue
+/// depth split evenly, disjoint LBA ranges per client.
 #[allow(clippy::too_many_arguments)]
-fn run_sharded(
+fn run(
     controller: Controller,
     shards: usize,
     io_kib: u64,
@@ -403,7 +245,7 @@ fn run_sharded(
         settings,
         shards,
     )
-    .expect("sharded fabric establishment");
+    .expect("fabric establishment");
 
     println!(
         "perf: {io_kib}KiB, QD{qd} ({per_client_qd}/client), {read_pct}% reads, {seconds}s, \
@@ -413,6 +255,36 @@ fn run_sharded(
         } else {
             "TCP"
         }
+    );
+
+    // Periodic telemetry: once a second, print the per-interval delta
+    // straight from the runtime's registry — completions, inflight
+    // depth, and the worst client's latency p99 — without touching the
+    // I/O loop below.
+    let io_bytes_f = io_bytes as f64;
+    let client_scopes: Vec<String> = (0..shards).map(|i| format!("client{i}")).collect();
+    let reporter = Reporter::spawn(
+        group.telemetry.clone(),
+        Duration::from_secs(1),
+        move |cum, delta| {
+            let mut ios = 0;
+            let mut inflight = 0;
+            let mut p99_us = 0.0f64;
+            for scope in &client_scopes {
+                ios += delta.counter(scope, "completions");
+                inflight += cum.gauge(scope, "inflight").map(|(v, _)| v).unwrap_or(0);
+                let p99 = delta
+                    .histo(scope, "lat_read_ns")
+                    .or_else(|| delta.histo(scope, "lat_write_ns"))
+                    .map(|h| h.p99() as f64 / 1e3)
+                    .unwrap_or(0.0);
+                p99_us = p99_us.max(p99);
+            }
+            eprintln!(
+                "[telemetry] {ios} IOPS, {:.0} MiB/s, inflight {inflight}, p99 ~{p99_us:.0}us",
+                ios as f64 * io_bytes_f / (1u64 << 20) as f64
+            );
+        },
     );
 
     // Disjoint per-client LBA ranges, prefilled so reads return data.
@@ -440,17 +312,16 @@ fn run_sharded(
     let t0 = Instant::now();
     let mut completed: u64 = 0;
     let mut lats_us: Vec<f64> = Vec::with_capacity(1 << 20);
-    let mut submit_times: Vec<std::collections::HashMap<u16, Instant>> = (0..shards)
-        .map(|_| std::collections::HashMap::new())
-        .collect();
+    // Submit times indexed by command id, one table per client: no
+    // per-op hashing or allocation on the drive loop.
+    let mut submit_times: Vec<Vec<Option<Instant>>> =
+        (0..shards).map(|_| vec![None; 1 << 16]).collect();
+    let mut inflight = 0usize;
 
-    let submit = |c: usize,
-                  client: &mut AfClient,
-                  rng: &mut rand::rngs::SmallRng,
-                  submit_times: &mut std::collections::HashMap<u16, Instant>| {
+    let submit = |c: usize, client: &mut AfClient, rng: &mut rand::rngs::SmallRng| {
         let slot = base_io(c) + rng.gen_range(0..span_ios);
         let lba = slot * u64::from(nlb);
-        let cid = if rng.gen_range(0..100u32) < read_pct {
+        if rng.gen_range(0..100u32) < read_pct {
             client
                 .submit_read(1, lba, nlb, io_bytes as usize)
                 .expect("submit read")
@@ -464,34 +335,38 @@ fn run_sharded(
             } else {
                 client.submit_write(1, lba, nlb, buf).expect("submit write")
             }
-        };
-        submit_times.insert(cid, Instant::now());
+        }
     };
 
     for (c, client) in group.clients.iter_mut().enumerate() {
         for _ in 0..per_client_qd {
-            submit(c, client, &mut rng, &mut submit_times[c]);
+            let cid = submit(c, client, &mut rng);
+            submit_times[c][usize::from(cid)] = Some(Instant::now());
+            inflight += 1;
         }
     }
     while Instant::now() < deadline {
         for (c, client) in group.clients.iter_mut().enumerate() {
             for done in client.poll().expect("poll") {
                 assert!(done.status.is_ok(), "I/O failed: {:?}", done.status);
-                if let Some(t) = submit_times[c].remove(&done.cid) {
+                if let Some(t) = submit_times[c][usize::from(done.cid)].take() {
                     lats_us.push(t.elapsed().as_secs_f64() * 1e6);
                 }
                 completed += 1;
-                submit(c, client, &mut rng, &mut submit_times[c]);
+                let cid = submit(c, client, &mut rng);
+                submit_times[c][usize::from(cid)] = Some(Instant::now());
             }
         }
         std::hint::spin_loop();
     }
     // Drain.
     let drain_deadline = Instant::now() + Duration::from_secs(5);
-    while submit_times.iter().any(|m| !m.is_empty()) && Instant::now() < drain_deadline {
+    while inflight > 0 && Instant::now() < drain_deadline {
         for (c, client) in group.clients.iter_mut().enumerate() {
             for done in client.poll().expect("poll") {
-                submit_times[c].remove(&done.cid);
+                if submit_times[c][usize::from(done.cid)].take().is_some() {
+                    inflight -= 1;
+                }
                 completed += 1;
             }
         }
@@ -530,9 +405,40 @@ fn run_sharded(
             f64::NAN
         }
     );
-    // Group commit shows up here: N shards share one journal, so
-    // concurrent barriers coalesce onto one fdatasync.
-    print_store_report(&group.telemetry.snapshot());
+    let stats = group
+        .clients
+        .iter()
+        .map(|c| c.stats())
+        .fold((0, 0, 0, 0), |(w, z, r, e), s| {
+            (
+                w + s.writes,
+                z + s.zero_copy_writes,
+                r + s.reads,
+                e + s.errors,
+            )
+        });
+    println!(
+        "client stats: {} writes ({} zero-copy), {} reads, {} errors",
+        stats.0, stats.1, stats.2, stats.3
+    );
+    reporter.stop();
+    // Final registry view: transport-level frame accounting for the
+    // run, and (file backend) the store's. Group commit shows up there:
+    // the shards share one journal, so concurrent barriers coalesce
+    // onto one fdatasync.
+    let snap = group.telemetry.snapshot();
+    let sum = |name: &str| -> u64 {
+        (0..shards)
+            .map(|i| snap.counter(&format!("transport_client{i}"), name))
+            .sum()
+    };
+    println!(
+        "transport: {} frames sent / {} received, {} ring-full events",
+        sum("frames_sent"),
+        sum("frames_received"),
+        sum("ring_full"),
+    );
+    print_store_report(&snap);
 
     for c in &mut group.clients {
         c.disconnect().expect("disconnect");

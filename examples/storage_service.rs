@@ -14,7 +14,7 @@ use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::oaf::conn::FabricSettings;
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::launch_many;
+use nvme_oaf::oaf::runtime::launch_many_sharded;
 
 fn main() {
     let mut controller = Controller::new();
@@ -27,12 +27,14 @@ fn main() {
         (ProcessId(2), target_host), // co-located
         (ProcessId(3), 2u64),        // remote
     ];
-    let mut group = launch_many(
+    // One reactor shard serves every connection.
+    let mut group = launch_many_sharded(
         &registry,
         &clients,
         (ProcessId(100), target_host),
         controller,
         FabricSettings::default(),
+        1,
     )
     .expect("service establishment");
 

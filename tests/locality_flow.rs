@@ -1,19 +1,43 @@
 //! Integration: locality awareness, hot-plug announcements, flow-control
 //! accounting, and fabric settings propagation across crates.
 
-use std::sync::Arc;
-
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
+use nvme_oaf::nvmeof::shard::{spawn_sharded, ShardConfig};
+use nvme_oaf::nvmeof::target::TargetHandle;
 use nvme_oaf::nvmeof::FlowMode;
-use nvme_oaf::oaf::conn::{ConnectionManager, FabricSettings};
+use nvme_oaf::oaf::conn::{establish, FabricSettings};
 use nvme_oaf::oaf::flow::{control_messages, messages_saved, DataChannel, OpKind};
 use nvme_oaf::oaf::locality::{poll_locality, HostRegistry, ProcessId};
+use nvme_oaf::oaf::runtime::AfClient;
+use oaf_telemetry::Registry;
 
-fn controller() -> Controller {
+/// A one-shard storage service with no connections yet.
+fn service() -> TargetHandle {
     let mut c = Controller::new();
     c.add_namespace(Namespace::new(1, 4096, 256));
-    c
+    spawn_sharded(c, Vec::new(), ShardConfig::new(1), None)
+}
+
+/// Connects process 1 to the service run for process 2.
+fn connect(reg: &HostRegistry, svc: &mut TargetHandle, settings: &FabricSettings) -> AfClient {
+    establish(
+        reg,
+        &Registry::new(),
+        svc,
+        ProcessId(1),
+        ProcessId(2),
+        settings,
+    )
+    .expect("establish")
+    .0
+}
+
+/// Disconnects, stops the service and reclaims the region.
+fn teardown(reg: &HostRegistry, mut client: AfClient, svc: TargetHandle) {
+    client.disconnect().expect("disconnect");
+    svc.shutdown().expect("service shutdown");
+    reg.unplug(ProcessId(1), ProcessId(2));
 }
 
 #[test]
@@ -44,51 +68,40 @@ fn helper_process_announcements_follow_hotplug_lifecycle() {
 #[test]
 fn establish_uses_hotplug_only_when_co_located() {
     for (host_c, host_t, expect_shm) in [(9, 9, true), (9, 10, false)] {
-        let reg = Arc::new(HostRegistry::new());
+        let reg = HostRegistry::new();
         reg.register(ProcessId(1), host_c);
         reg.register(ProcessId(2), host_t);
-        let cm = ConnectionManager::new(reg.clone());
-        let fabric = cm
-            .establish(
-                ProcessId(1),
-                ProcessId(2),
-                controller(),
-                &FabricSettings::default(),
-            )
-            .expect("establish");
-        assert_eq!(fabric.initiator.shm_active(), expect_shm);
+        let mut svc = service();
+        let client = connect(&reg, &mut svc, &FabricSettings::default());
+        assert_eq!(client.shm_active(), expect_shm);
         assert_eq!(
             reg.channel_for(ProcessId(1), ProcessId(2)).is_some(),
             expect_shm,
             "hotplug record mismatch"
         );
-        cm.teardown(ProcessId(1), ProcessId(2), fabric)
-            .expect("teardown");
+        teardown(&reg, client, svc);
         assert!(reg.channel_for(ProcessId(1), ProcessId(2)).is_none());
     }
 }
 
 #[test]
 fn fabric_settings_control_slot_geometry() {
-    let reg = Arc::new(HostRegistry::new());
+    let reg = HostRegistry::new();
     reg.register(ProcessId(1), 3);
     reg.register(ProcessId(2), 3);
-    let cm = ConnectionManager::new(reg.clone());
     let settings = FabricSettings {
         depth: 4,
         slot_size: 8192,
         ..FabricSettings::default()
     };
-    let fabric = cm
-        .establish(ProcessId(1), ProcessId(2), controller(), &settings)
-        .expect("establish");
+    let mut svc = service();
+    let client = connect(&reg, &mut svc, &settings);
     let hp = reg
         .channel_for(ProcessId(1), ProcessId(2))
         .expect("channel");
     assert_eq!(hp.channel.depth(), 4);
     assert_eq!(hp.channel.slot_size(), 8192);
-    cm.teardown(ProcessId(1), ProcessId(2), fabric)
-        .expect("teardown");
+    teardown(&reg, client, svc);
 }
 
 #[test]
@@ -132,32 +145,19 @@ fn flow_accounting_matches_the_papers_message_counts() {
 
 #[test]
 fn repeated_establish_teardown_cycles_are_stable() {
-    let reg = Arc::new(HostRegistry::new());
+    let reg = HostRegistry::new();
     reg.register(ProcessId(1), 1);
     reg.register(ProcessId(2), 1);
-    let cm = ConnectionManager::new(reg.clone());
     for round in 0..5 {
-        let mut fabric = cm
-            .establish(
-                ProcessId(1),
-                ProcessId(2),
-                controller(),
-                &FabricSettings::default(),
-            )
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert!(fabric.initiator.shm_active(), "round {round}");
+        let mut svc = service();
+        let mut client = connect(&reg, &mut svc, &FabricSettings::default());
+        assert!(client.shm_active(), "round {round}");
         // Do one I/O per cycle to prove the channel is live.
-        fabric
-            .initiator
-            .write_blocking(
-                1,
-                0,
-                1,
-                bytes::Bytes::from(vec![round as u8; 4096]),
-                std::time::Duration::from_secs(5),
-            )
+        let mut buf = client.alloc(4096).expect("alloc");
+        buf.fill(round as u8);
+        client
+            .write(1, 0, 1, buf, std::time::Duration::from_secs(5))
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        cm.teardown(ProcessId(1), ProcessId(2), fabric)
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        teardown(&reg, client, svc);
     }
 }

@@ -9,7 +9,7 @@ use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::oaf::conn::FabricSettings;
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::launch_many;
+use nvme_oaf::oaf::runtime::launch_many_sharded;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -29,14 +29,15 @@ fn mixed_locality_clients_share_one_service() {
         (ProcessId(12), target_host),
         (ProcessId(13), 2u64),
     ];
-    let mut group = launch_many(
+    let mut group = launch_many_sharded(
         &registry,
         &clients,
         (ProcessId(99), target_host),
         controller(),
         FabricSettings::default(),
+        1,
     )
-    .expect("launch_many");
+    .expect("launch_many_sharded");
 
     assert!(group.clients[0].shm_active());
     assert!(group.clients[1].shm_active());
@@ -83,14 +84,15 @@ fn mixed_locality_clients_share_one_service() {
 fn per_client_channels_are_isolated_regions() {
     let registry = Arc::new(HostRegistry::new());
     let clients = [(ProcessId(21), 5u64), (ProcessId(22), 5u64)];
-    let group = launch_many(
+    let group = launch_many_sharded(
         &registry,
         &clients,
         (ProcessId(90), 5),
         controller(),
         FabricSettings::default(),
+        1,
     )
-    .expect("launch_many");
+    .expect("launch_many_sharded");
 
     // The helper process allocated distinct regions (§6: per-client
     // isolation so no tenant can snoop another's payloads).
@@ -109,14 +111,15 @@ fn per_client_channels_are_isolated_regions() {
 fn many_concurrent_clients_under_load() {
     let registry = Arc::new(HostRegistry::new());
     let clients: Vec<(ProcessId, u64)> = (0..4).map(|i| (ProcessId(30 + i), 7u64)).collect();
-    let mut group = launch_many(
+    let mut group = launch_many_sharded(
         &registry,
         &clients,
         (ProcessId(80), 7),
         controller(),
         FabricSettings::default(),
+        1,
     )
-    .expect("launch_many");
+    .expect("launch_many_sharded");
 
     // Pipelined traffic from every client interleaved.
     let mut cids: Vec<Vec<u16>> = vec![Vec::new(); 4];

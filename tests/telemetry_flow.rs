@@ -9,9 +9,9 @@ use std::time::Duration;
 
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
-use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
+use nvme_oaf::oaf::conn::FabricSettings;
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::{launch, launch_many, AfPair};
+use nvme_oaf::oaf::runtime::{launch, launch_many_sharded, AfPair};
 use oaf_telemetry::export;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -29,12 +29,9 @@ fn pair(local: bool) -> AfPair {
         (ProcessId(1), 1),
         (ProcessId(2), if local { 1 } else { 2 }),
         controller(4096),
-        FabricSettings {
-            // Ask for in-region control so a co-located pair exercises
-            // the shared-memory ring; a remote pair falls back to TCP.
-            control: ControlPath::InRegion,
-            ..FabricSettings::default()
-        },
+        // A co-located pair exercises the in-region control rings; a
+        // remote pair runs NVMe/TCP.
+        FabricSettings::default(),
     )
     .expect("fabric establishment")
 }
@@ -62,30 +59,30 @@ fn local_traffic_produces_consistent_counters_at_every_layer() {
     // Initiator accounting: everything submitted completed, no errors,
     // nothing left in flight, and the per-opcode latency histograms saw
     // exactly the synchronous ops we issued.
-    let submitted = snap.counter("client", "submitted");
-    assert_eq!(submitted, snap.counter("client", "completions"));
-    assert_eq!(snap.counter("client", "errors"), 0);
-    assert_eq!(snap.gauge("client", "inflight").map(|(v, _)| v), Some(0));
+    let submitted = snap.counter("client0", "submitted");
+    assert_eq!(submitted, snap.counter("client0", "completions"));
+    assert_eq!(snap.counter("client0", "errors"), 0);
+    assert_eq!(snap.gauge("client0", "inflight").map(|(v, _)| v), Some(0));
     assert_eq!(
-        snap.histo("client", "lat_write_ns").map(|h| h.count),
+        snap.histo("client0", "lat_write_ns").map(|h| h.count),
         Some(WRITES)
     );
     assert_eq!(
-        snap.histo("client", "lat_read_ns").map(|h| h.count),
+        snap.histo("client0", "lat_read_ns").map(|h| h.count),
         Some(READS)
     );
 
     // Target accounting: every op answered.
-    let ops = snap.counter("target", "ops");
-    assert_eq!(ops, snap.counter("target", "responses"));
+    let ops = snap.counter("shard0_target_conn0", "ops");
+    assert_eq!(ops, snap.counter("shard0_target_conn0", "responses"));
     assert!(ops >= WRITES + READS);
 
     // Transport symmetry: the control rings carry each frame exactly
     // once, so what one endpoint sent the other received, in frames and
     // in bytes.
     for (tx, rx) in [
-        ("transport_client", "transport_target"),
-        ("transport_target", "transport_client"),
+        ("transport_client0", "transport_target0"),
+        ("transport_target0", "transport_client0"),
     ] {
         assert_eq!(
             snap.counter(tx, "frames_sent"),
@@ -99,7 +96,7 @@ fn local_traffic_produces_consistent_counters_at_every_layer() {
         );
     }
     // And the submission count is visible as client->target traffic.
-    assert!(snap.counter("transport_client", "frames_sent") >= submitted);
+    assert!(snap.counter("transport_client0", "frames_sent") >= submitted);
 
     // Fabric decision record: a co-located pair picked the local path
     // and the in-region control channel.
@@ -108,14 +105,14 @@ fn local_traffic_produces_consistent_counters_at_every_layer() {
     assert_eq!(snap.counter("fabric", "control_in_region"), 1);
     // The in-region ring's producer-side stats saw every client frame.
     assert_eq!(
-        snap.counter("control_ring_client", "frames"),
-        snap.counter("transport_client", "frames_sent")
+        snap.counter("control_ring_client0", "frames"),
+        snap.counter("transport_client0", "frames_sent")
     );
 
     // App-level stats (the ClientStats shim) feed the same registry.
-    assert_eq!(snap.counter("app", "writes"), WRITES);
-    assert_eq!(snap.counter("app", "reads"), READS);
-    assert_eq!(snap.counter("app", "bytes_written"), WRITES * len as u64);
+    assert_eq!(snap.counter("app0", "writes"), WRITES);
+    assert_eq!(snap.counter("app0", "reads"), READS);
+    assert_eq!(snap.counter("app0", "bytes_written"), WRITES * len as u64);
 
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
@@ -135,12 +132,12 @@ fn remote_traffic_reports_through_the_same_registry() {
 
     let snap = p.telemetry.snapshot();
     assert_eq!(
-        snap.counter("client", "submitted"),
-        snap.counter("client", "completions")
+        snap.counter("client0", "submitted"),
+        snap.counter("client0", "completions")
     );
     assert_eq!(
-        snap.counter("transport_client", "frames_sent"),
-        snap.counter("transport_target", "frames_received")
+        snap.counter("transport_client0", "frames_sent"),
+        snap.counter("transport_target0", "frames_received")
     );
     // A cross-host pair records the remote decision and a TCP-class
     // control path (no in-region ring).
@@ -183,12 +180,13 @@ fn live_snapshot_round_trips_through_both_export_formats() {
 fn scaled_out_group_reports_per_connection_scopes() {
     let registry = Arc::new(HostRegistry::new());
     let clients = [(ProcessId(10), 1), (ProcessId(11), 1), (ProcessId(12), 1)];
-    let mut group = launch_many(
+    let mut group = launch_many_sharded(
         &registry,
         &clients,
         (ProcessId(2), 1),
         controller(4096),
         FabricSettings::default(),
+        1,
     )
     .expect("group establishment");
 
@@ -204,7 +202,7 @@ fn scaled_out_group_reports_per_connection_scopes() {
     let snap = group.telemetry.snapshot();
     for i in 0..group.clients.len() {
         let client_scope = format!("client{i}");
-        let conn_scope = format!("target_conn{i}");
+        let conn_scope = format!("shard0_target_conn{i}");
         let expected = i as u64 + 1;
         // Each client's submissions completed, and its dedicated target
         // connection answered them — per-connection attribution, not a
