@@ -98,7 +98,7 @@ fn sharded_steady_state_allocates_nothing_and_takes_no_locks() {
     controller.add_namespace(Namespace::new(1, 4096, 2048));
 
     // Two shards, one client each, full telemetry stack live.
-    let registry = Registry::new();
+    let registry = std::sync::Arc::new(Registry::new());
     let (c1, t1) = ShmTransport::pair(256 * 1024);
     let (c2, t2) = ShmTransport::pair(256 * 1024);
     let spec = |t: ShmTransport| ConnectionSpec {
