@@ -13,10 +13,10 @@
 //! [`TargetRecovery`] core, a model block device (per-command applied
 //! generations) and the two in-flight message queues. Transitions
 //! deliver, drop, reorder, duplicate or corrupt queued messages (under a
-//! per-kind fault budget), fire the initiator's next timer, and — when
-//! the scenario runs the target's offloaded sync worker
-//! ([`model::SyncMode::Offloaded`]) — drain the worker's parked barrier
-//! completions, successfully or with an fsync error. The
+//! per-kind fault budget), fire the initiator's next timer, and drain
+//! the target's sync worker of its parked barrier completions —
+//! successfully, or with an fsync error within the scenario's
+//! [`sync_fail_budget`](model::Scenario::sync_fail_budget). The
 //! [`explore::Explorer`] walks every interleaving with DFS or
 //! iterative-deepening DFS (minimal counterexamples), pruning revisited
 //! states by a canonical fingerprint and stopping at a bounded
@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use explore::{Budget, Explorer, Outcome, Strategy};
 pub use invariant::Violation;
-pub use model::{CmdKind, FaultBudget, Scenario, SyncMode, World};
+pub use model::{CmdKind, FaultBudget, Scenario, World};
 pub use trace::{Counterexample, FaultScripts};
 
 use oaf_telemetry::{Counter, Gauge, Scope};

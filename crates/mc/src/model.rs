@@ -191,23 +191,6 @@ pub struct FaultBudget {
     pub corrupts: u8,
 }
 
-/// How the modeled target makes barrier-class commands durable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SyncMode {
-    /// The dispatch path syncs inline: a barrier's completion is queued
-    /// the moment its command is delivered (the pre-offload target).
-    #[default]
-    Inline,
-    /// The async durability pipeline: a delivered barrier *applies* but
-    /// its completion parks until a [`Transition::SyncComplete`] drains
-    /// the sync worker. `fail_budget` bounds how many drains may report
-    /// an fsync error (each failed drain costs one).
-    Offloaded {
-        /// Sync drains the adversary may fail.
-        fail_budget: u8,
-    },
-}
-
 impl FaultBudget {
     /// No faults at all: pure interleaving + timer exploration.
     pub fn none() -> Self {
@@ -242,9 +225,10 @@ pub struct Scenario {
     pub faults: FaultBudget,
     /// Payload chunks per read (transfer size = `data_chunks × CHUNK`).
     pub data_chunks: u32,
-    /// Whether the target syncs barriers inline or parks their
-    /// completions on an offloaded sync worker.
-    pub sync: SyncMode,
+    /// How many sync-worker drains the adversary may fail with an
+    /// fsync error (each failed drain costs one). Barrier-class
+    /// completions always park on the sync worker, as on the target.
+    pub sync_fail_budget: u8,
 }
 
 impl Scenario {
@@ -270,14 +254,13 @@ impl Scenario {
             },
             faults,
             data_chunks: 2,
-            sync: SyncMode::Inline,
+            sync_fail_budget: 0,
         }
     }
 
-    /// Switches the target to the offloaded sync worker, allowing the
-    /// adversary to fail up to `fail_budget` sync drains.
-    pub fn offloaded_sync(mut self, fail_budget: u8) -> Self {
-        self.sync = SyncMode::Offloaded { fail_budget };
+    /// Lets the adversary fail up to `fail_budget` sync drains.
+    pub fn sync_fails(mut self, fail_budget: u8) -> Self {
+        self.sync_fail_budget = fail_budget;
         self
     }
 }
@@ -313,7 +296,7 @@ pub enum Transition {
     },
     /// Advance the clock to the initiator's next armed timer and tick.
     Timer,
-    /// The offloaded sync worker retires its in-flight fsync, draining
+    /// The sync worker retires its in-flight fsync, draining
     /// every parked barrier completion in submission order. `ok = false`
     /// is an fsync error (costs one from the scenario's sync fail
     /// budget): the drained barriers complete with an error status.
@@ -368,11 +351,11 @@ pub struct World {
     applied_gens: Vec<Vec<u32>>,
     /// What the target answered each abort: `(cid, gseq)` → applied.
     abort_answers: HashMap<(u16, u32), bool>,
-    /// Barrier completions parked on the offloaded sync worker, in
-    /// submission order — the model twin of the target's
-    /// `ParkedBarrier` queue: `(cid, gseq, slot, abort_requested)`.
+    /// Barrier completions parked on the sync worker, in submission
+    /// order — the model twin of the target's `ParkedBarrier` queue:
+    /// `(cid, gseq, slot, abort_requested)`.
     sync_pending: Vec<(u16, u32, usize, bool)>,
-    sync: SyncMode,
+    sync_fail_budget: u8,
     action_buf: Vec<Action>,
 }
 
@@ -397,7 +380,7 @@ impl World {
             applied_gens: vec![Vec::new(); scenario.commands.len()],
             abort_answers: HashMap::new(),
             sync_pending: Vec::new(),
-            sync: scenario.sync,
+            sync_fail_budget: scenario.sync_fail_budget,
             action_buf: Vec::new(),
         };
         for (slot, &kind) in scenario.commands.iter().enumerate() {
@@ -457,15 +440,13 @@ impl World {
                 }
             }
         }
-        if !self.done() && self.ini.next_timer(self.now).is_some() {
+        if !self.done() && self.ini.next_timer().is_some() {
             out.push(Transition::Timer);
         }
         if !self.sync_pending.is_empty() {
             out.push(Transition::SyncComplete { ok: true });
-            if let SyncMode::Offloaded { fail_budget } = self.sync {
-                if fail_budget > 0 {
-                    out.push(Transition::SyncComplete { ok: false });
-                }
+            if self.sync_fail_budget > 0 {
+                out.push(Transition::SyncComplete { ok: false });
             }
         }
         out
@@ -492,7 +473,7 @@ impl World {
             Transition::Duplicate { dir } => format!("duplicate {dir} {}", head(dir)),
             Transition::Corrupt { dir } => format!("corrupt {dir} {}", head(dir)),
             Transition::Timer => {
-                let t = self.ini.next_timer(self.now).unwrap_or(self.now);
+                let t = self.ini.next_timer().unwrap_or(self.now);
                 format!("timer fires at t={}us", t.max(self.now + 1) / 1_000)
             }
             Transition::SyncComplete { ok } => {
@@ -573,7 +554,7 @@ impl World {
                 None
             }
             Transition::Timer => {
-                let target = self.ini.next_timer(self.now)?;
+                let target = self.ini.next_timer()?;
                 self.now = target.max(self.now + 1);
                 let now = self.now;
                 let mut out = std::mem::take(&mut self.action_buf);
@@ -588,14 +569,10 @@ impl World {
                     return None;
                 }
                 if !ok {
-                    match self.sync {
-                        SyncMode::Offloaded { fail_budget } if fail_budget > 0 => {
-                            self.sync = SyncMode::Offloaded {
-                                fail_budget: fail_budget - 1,
-                            };
-                        }
-                        _ => return None,
+                    if self.sync_fail_budget == 0 {
+                        return None;
                     }
+                    self.sync_fail_budget -= 1;
                 }
                 // The drain mirrors the target's `poll_parked`: every
                 // parked completion releases in submission order, each
@@ -656,9 +633,7 @@ impl World {
                         });
                     }
                 }
-                if matches!(self.sync, SyncMode::Offloaded { .. })
-                    && matches!(kind, CmdKind::WriteFua | CmdKind::Flush)
-                {
+                if matches!(kind, CmdKind::WriteFua | CmdKind::Flush) {
                     // The async durability pipeline: the journal append
                     // already happened (recorded above), but the
                     // completion parks until the sync worker drains —
@@ -732,7 +707,7 @@ impl World {
                         *got = (*got).max(offset.saturating_add(len));
                     }
                     self.ini
-                        .on_data(cid, DataArrival::Chunk { offset, len }, now, &mut out);
+                        .on_data(cid, DataArrival::Chunk { offset, len }, &mut out);
                 } else if !self.ini.is_retired_cid(cid) {
                     v = Some(Violation::UnexpectedFrame {
                         what: format!("Data for cid {cid} which is neither live nor retired"),
@@ -745,9 +720,7 @@ impl World {
                 } else {
                     NvmeCompletion::error(cid, Status::InternalError)
                 };
-                if !self.ini.on_completion(cid, comp, now, &mut out)
-                    && !self.ini.is_retired_cid(cid)
-                {
+                if !self.ini.on_completion(cid, comp, &mut out) && !self.ini.is_retired_cid(cid) {
                     v = Some(Violation::UnexpectedFrame {
                         what: format!("Resp for cid {cid} which is neither live nor retired"),
                     });
@@ -909,7 +882,7 @@ impl World {
         answers.sort_unstable();
         answers.hash(&mut h);
         self.sync_pending.hash(&mut h);
-        self.sync.hash(&mut h);
+        self.sync_fail_budget.hash(&mut h);
         h.finish()
     }
 }

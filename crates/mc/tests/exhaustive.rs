@@ -9,14 +9,20 @@ use oaf_mc::{Budget, CmdKind, Explorer, FaultBudget, McMetrics, Outcome, Scenari
 use oaf_telemetry::Registry;
 
 fn sweep(name: &'static str, commands: Vec<CmdKind>, faults: FaultBudget) -> Outcome {
-    let outcome = Explorer::new(Scenario::new(name, commands, faults))
+    sweep_scenario(Scenario::new(name, commands, faults))
+}
+
+fn sweep_scenario(scenario: Scenario) -> Outcome {
+    let (name, faults, sync_fails) = (scenario.name, scenario.faults, scenario.sync_fail_budget);
+    let outcome = Explorer::new(scenario)
         .budget(Budget {
             max_states: 5_000_000,
             max_depth: 80,
         })
         .run();
     println!(
-        "{name}: explored={} pruned={} max_depth={} truncated={}",
+        "{name} (faults={faults:?} sync_fails={sync_fails}): explored={} pruned={} \
+         max_depth={} truncated={}",
         outcome.explored, outcome.pruned, outcome.max_depth, outcome.truncated
     );
     if let Some(cx) = &outcome.violation {
@@ -63,59 +69,29 @@ fn read_and_write_survive_every_single_fault_schedule() {
     }
 }
 
+/// The durability pipeline, exhaustively: barrier completions park on
+/// the target's sync worker and every interleaving of command delivery,
+/// timer fires, aborts and sync drains (including the fsync *error*
+/// drain) upholds every invariant, and no barrier wedges recovery (no
+/// Stuck states). The dangerous reordering the sweep closes out: an
+/// abort racing a parked barrier must never be answered `not applied`
+/// (the journal append already happened), or the resubmit
+/// double-applies.
 #[test]
-fn fua_write_and_flush_barriers_survive_drops_and_reorders() {
-    // Barrier-class commands pause the effective clock; the sweep
-    // proves the pause can never wedge recovery (no Stuck states).
-    sweep(
-        "fua-flush",
-        vec![CmdKind::WriteFua, CmdKind::Flush],
-        FaultBudget::only(FaultKind::Drop, 1),
-    );
-    sweep(
-        "fua-flush",
-        vec![CmdKind::WriteFua, CmdKind::Flush],
-        FaultBudget::only(FaultKind::Reorder, 2),
-    );
-}
-
-/// The async durability pipeline, exhaustively: barrier completions
-/// park on the offloaded sync worker and every interleaving of command
-/// delivery, timer fires, aborts and sync drains (including the fsync
-/// *error* drain) upholds every invariant. The dangerous reordering the
-/// sweep closes out: an abort racing a parked barrier must never be
-/// answered `not applied` (the journal append already happened), or the
-/// resubmit double-applies.
-#[test]
-fn offloaded_sync_parking_survives_every_schedule() {
+fn parked_fua_and_flush_barriers_survive_every_schedule() {
     for (faults, fail_budget) in [
         (FaultBudget::none(), 0),
         (FaultBudget::none(), 1),
+        (FaultBudget::only(FaultKind::Drop, 1), 0),
         (FaultBudget::only(FaultKind::Drop, 1), 1),
+        (FaultBudget::only(FaultKind::Reorder, 2), 0),
         (FaultBudget::only(FaultKind::Reorder, 2), 1),
         (FaultBudget::only(FaultKind::Duplicate, 1), 1),
     ] {
-        let scenario = Scenario::new(
-            "offloaded-fua-flush",
-            vec![CmdKind::WriteFua, CmdKind::Flush],
-            faults,
-        )
-        .offloaded_sync(fail_budget);
-        let outcome = Explorer::new(scenario)
-            .budget(Budget {
-                max_states: 5_000_000,
-                max_depth: 80,
-            })
-            .run();
-        println!(
-            "offloaded-fua-flush (faults={faults:?} sync_fails={fail_budget}): \
-             explored={} pruned={} max_depth={} truncated={}",
-            outcome.explored, outcome.pruned, outcome.max_depth, outcome.truncated
+        sweep_scenario(
+            Scenario::new("fua-flush", vec![CmdKind::WriteFua, CmdKind::Flush], faults)
+                .sync_fails(fail_budget),
         );
-        if let Some(cx) = &outcome.violation {
-            panic!("offloaded sweep found a violation:\n{cx}");
-        }
-        assert!(!outcome.truncated, "offloaded sweep hit its budget");
     }
 }
 
@@ -123,23 +99,15 @@ fn offloaded_sync_parking_survives_every_schedule() {
 /// are parked: a read and a plain write interleave freely with a parked
 /// FUA write and resolve independently of the sync drain order.
 #[test]
-fn offloaded_sync_reads_interleave_with_parked_barriers() {
-    let scenario = Scenario::new(
-        "offloaded-mixed",
-        vec![CmdKind::WriteFua, CmdKind::Read, CmdKind::Write],
-        FaultBudget::only(FaultKind::Drop, 1),
-    )
-    .offloaded_sync(1);
-    let outcome = Explorer::new(scenario)
-        .budget(Budget {
-            max_states: 5_000_000,
-            max_depth: 80,
-        })
-        .run();
-    if let Some(cx) = &outcome.violation {
-        panic!("offloaded mixed sweep found a violation:\n{cx}");
-    }
-    assert!(!outcome.truncated);
+fn reads_interleave_with_parked_barriers() {
+    let outcome = sweep_scenario(
+        Scenario::new(
+            "fua-read-write",
+            vec![CmdKind::WriteFua, CmdKind::Read, CmdKind::Write],
+            FaultBudget::only(FaultKind::Drop, 1),
+        )
+        .sync_fails(1),
+    );
     assert!(
         outcome.explored >= 1_000,
         "suspiciously small space: {}",

@@ -318,7 +318,7 @@ pub struct TargetMetrics {
     /// Received frames dropped by the reactor for failing CRC or
     /// structural decode.
     pub corrupt_frames: Counter,
-    /// Barrier-class completions parked on an offloaded sync ticket
+    /// Barrier-class completions parked on a sync-worker ticket
     /// instead of blocking the reactor in `fdatasync`.
     pub barriers_parked: Counter,
     /// Wall time a parked barrier completion waited for its sync ticket

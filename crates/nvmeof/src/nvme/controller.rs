@@ -245,13 +245,14 @@ impl Controller {
     }
 
     /// Like [`execute`](Controller::execute), but barrier-class
-    /// commands (Flush, FUA writes, FUA zero/trim) against a namespace
-    /// with an offloaded sync worker return a [`BarrierTicket`]: the
-    /// mutation is journaled and applied, its `fdatasync` is in flight,
-    /// and the returned (success) completion must be parked until
-    /// [`poll_barrier`](Controller::poll_barrier) resolves the ticket.
-    /// Non-barrier commands — and every command on an inline-sync
-    /// namespace — behave exactly like `execute` (ticket `None`).
+    /// commands (Flush, FUA writes, FUA zero/trim) against a shared
+    /// file-backed namespace return a [`BarrierTicket`]: the mutation is
+    /// journaled and applied, its `fdatasync` is in flight on the
+    /// store's sync worker, and the returned (success) completion must
+    /// be parked until [`poll_barrier`](Controller::poll_barrier)
+    /// resolves the ticket. Non-barrier commands — and every command on
+    /// a RAM or owned namespace — behave exactly like `execute` (ticket
+    /// `None`).
     pub fn execute_async(
         &mut self,
         cmd: &NvmeCommand,
@@ -490,20 +491,22 @@ mod tests {
     }
 
     #[test]
-    fn execute_async_tickets_offloaded_barriers() {
-        use oaf_store::vfs::SharedMemVfs;
-        let vfs = SharedMemVfs::new();
-        let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs));
-        let mut c = Controller::new();
-        c.add_namespace(Namespace::with_shared_file(1, disk));
-        c.add_namespace(Namespace::new(2, 512, 16));
+    fn execute_async_tickets_shared_file_barriers() {
+        let disk = oaf_store::FileDisk::create_on(
+            Box::new(oaf_store::vfs::MemVfs::new()),
+            512,
+            64,
+            64 * 1024,
+        )
+        .unwrap();
+        let mut owner = Controller::new();
+        owner.add_namespace(Namespace::with_file(1, disk));
+        owner.add_namespace(Namespace::new(2, 512, 16));
+        let mut c = owner.share();
         let data = vec![0x42u8; 512];
         let (w, _, ticket) = c.execute_async(&NvmeCommand::write_fua(1, 1, 0, 1), Some(&data));
         assert!(w.status.is_ok());
-        let t = ticket.expect("FUA against the offloaded namespace tickets");
+        let t = ticket.expect("FUA against the shared file namespace tickets");
         while c.poll_barrier(1, t) == BarrierPoll::Pending {
             std::thread::yield_now();
         }

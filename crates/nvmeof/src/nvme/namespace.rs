@@ -62,24 +62,13 @@ impl Namespace {
 
     /// Creates namespace `id` over a durable file-backed store. Flush
     /// and FUA become real `fdatasync` barriers; TRIM punches and
-    /// journals the range.
+    /// journals the range. Once [`share`](Namespace::share)d, every
+    /// barrier runs on the store's sync worker.
     pub fn with_file(id: u32, disk: FileDisk) -> Self {
         assert!(id != 0, "nsid 0 is reserved");
         Namespace {
             id,
             store: Store::File(Box::new(disk)),
-        }
-    }
-
-    /// Creates namespace `id` directly over a shared durable store —
-    /// the entry point when the store was shared (and possibly given a
-    /// sync worker via [`SharedFileDisk::with_sync_worker`]) before the
-    /// target was wired.
-    pub fn with_shared_file(id: u32, disk: SharedFileDisk) -> Self {
-        assert!(id != 0, "nsid 0 is reserved");
-        Namespace {
-            id,
-            store: Store::SharedFile(disk),
         }
     }
 
@@ -200,24 +189,12 @@ impl Namespace {
         Self::status(self.store_mut().flush())
     }
 
-    /// Whether barriers on this namespace resolve through an offloaded
-    /// sync worker (so [`write_submit`]/[`flush_submit`] can return
-    /// tickets instead of blocking in `fdatasync`).
-    ///
-    /// [`write_submit`]: Namespace::write_submit
-    /// [`flush_submit`]: Namespace::flush_submit
-    pub fn barrier_offloaded(&self) -> bool {
-        match &self.store {
-            Store::SharedFile(d) => d.sync_offloaded(),
-            _ => false,
-        }
-    }
-
-    /// Like [`write`](Namespace::write), but when the store has a sync
-    /// worker a FUA write journals and applies, then returns
-    /// `(Success, Some(ticket))` with the `fdatasync` still in flight —
-    /// the caller parks the completion until the ticket resolves. Every
-    /// other path behaves exactly like `write` and returns `None`.
+    /// Like [`write`](Namespace::write), but on a shared file-backed
+    /// store a FUA write journals and applies, then returns
+    /// `(Success, Some(ticket))` with the `fdatasync` still in flight on
+    /// the sync worker — the caller parks the completion until the
+    /// ticket resolves. Every other path behaves exactly like `write`
+    /// and returns `None`.
     pub fn write_submit(
         &mut self,
         slba: u64,
@@ -226,34 +203,30 @@ impl Namespace {
         fua: bool,
     ) -> (Status, Option<BarrierTicket>) {
         if let Store::SharedFile(d) = &self.store {
-            if d.sync_offloaded() {
-                return match d.write_async(slba, nlb, src, fua) {
-                    Ok(handle) => (Status::Success, handle.map(BarrierTicket)),
-                    Err(e) => (Self::map_err(e), None),
-                };
-            }
+            return match d.write_async(slba, nlb, src, fua) {
+                Ok(handle) => (Status::Success, handle.map(BarrierTicket)),
+                Err(e) => (Self::map_err(e), None),
+            };
         }
         (self.write(slba, nlb, src, fua), None)
     }
 
-    /// Like [`flush`](Namespace::flush), but through the sync worker
-    /// when one is attached: returns `(Success, Some(ticket))` with the
-    /// barrier submitted rather than waited on.
+    /// Like [`flush`](Namespace::flush), but on a shared file-backed
+    /// store returns `(Success, Some(ticket))` with the barrier enrolled
+    /// with the sync worker rather than waited on.
     pub fn flush_submit(&mut self) -> (Status, Option<BarrierTicket>) {
         if let Store::SharedFile(d) = &self.store {
-            if d.sync_offloaded() {
-                return match d.flush_async() {
-                    Ok(handle) => (Status::Success, handle.map(BarrierTicket)),
-                    Err(e) => (Self::map_err(e), None),
-                };
-            }
+            return match d.flush_async() {
+                Ok(handle) => (Status::Success, Some(BarrierTicket(handle))),
+                Err(e) => (Self::map_err(e), None),
+            };
         }
         (self.flush(), None)
     }
 
-    /// Resolution state of a parked barrier ticket. On a store without
-    /// a worker (ticket could not have been issued here) this reports
-    /// `Durable`, keeping the caller's drain loop total.
+    /// Resolution state of a parked barrier ticket. On a store that
+    /// cannot issue tickets this reports `Durable`, keeping the caller's
+    /// drain loop total.
     pub fn poll_barrier(&self, ticket: BarrierTicket) -> BarrierPoll {
         match &self.store {
             Store::SharedFile(d) => match d.poll_barrier(ticket.0) {
@@ -385,18 +358,12 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_namespace_tickets_barriers() {
-        use oaf_store::vfs::SharedMemVfs;
-        let vfs = SharedMemVfs::new();
-        let disk = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs));
-        let mut ns = Namespace::with_shared_file(1, disk);
-        assert!(ns.barrier_offloaded());
+    fn shared_file_namespace_tickets_barriers() {
+        let mut owned = file_ns(1);
+        let mut ns = owned.share();
         let (st, ticket) = ns.write_submit(0, 1, &[0xaau8; 512], true);
         assert_eq!(st, Status::Success);
-        let t = ticket.expect("FUA tickets on an offloaded store");
+        let t = ticket.expect("FUA tickets on a shared store");
         loop {
             match ns.poll_barrier(t) {
                 BarrierPoll::Durable => break,
@@ -410,7 +377,7 @@ mod tests {
         assert!(none_t.is_none());
         let (st, t2) = ns.flush_submit();
         assert_eq!(st, Status::Success);
-        let t2 = t2.expect("flush tickets on an offloaded store");
+        let t2 = t2.expect("flush tickets on a shared store");
         while ns.poll_barrier(t2) == BarrierPoll::Pending {
             std::thread::yield_now();
         }
@@ -418,12 +385,11 @@ mod tests {
         let mut out = [0u8; 512];
         assert_eq!(ns.read(0, 1, &mut out), Status::Success);
         assert!(out.iter().all(|&b| b == 0xaa));
-        // A worker-less namespace falls back to the blocking path.
+        // The owned single-queue disk keeps its blocking barrier.
         let mut plain = file_ns(2);
-        assert!(!plain.barrier_offloaded());
         let (st, t3) = plain.write_submit(0, 1, &[2u8; 512], true);
         assert_eq!(st, Status::Success);
-        assert!(t3.is_none(), "inline-sync store must not ticket");
+        assert!(t3.is_none(), "an owned store must not ticket");
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl Reactor {
                 (Ok(n), None) => drained_total += n,
             }
             // Probe the connection's sync-done queue: barrier
-            // completions parked on offloaded tickets release here, and
+            // completions parked on sync tickets release here, and
             // count as progress so the idle policy keeps the reactor
             // hot while syncs are retiring.
             drained_total += l.conn.poll_parked(controller, &mut l.out);

@@ -59,7 +59,7 @@ struct PendingWrite {
     received: usize,
 }
 
-/// A barrier-class completion parked on an offloaded sync ticket: the
+/// A barrier-class completion parked on a sync ticket: the
 /// command executed (journaled and applied), its `fdatasync` is in
 /// flight on the store's sync worker, and the response capsule is held
 /// until [`TargetConnection::poll_parked`] sees the ticket resolve.
@@ -1047,15 +1047,15 @@ mod tests {
         assert!(matches!(err, NvmeofError::Protocol(_)));
     }
 
-    fn offloaded_controller() -> (oaf_store::vfs::SharedMemVfs, Controller) {
+    /// A file-backed controller wired the way every target runs it:
+    /// shared, so barriers park on the store's sync worker.
+    fn shared_file_controller() -> (oaf_store::vfs::SharedMemVfs, Controller) {
         let vfs = oaf_store::vfs::SharedMemVfs::new();
-        let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs.clone()));
+        let disk =
+            oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024).unwrap();
         let mut ctrl = Controller::new();
-        ctrl.add_namespace(Namespace::with_shared_file(1, disk));
-        (vfs, ctrl)
+        ctrl.add_namespace(Namespace::with_file(1, disk));
+        (vfs, ctrl.share())
     }
 
     fn release_parked(conn: &mut TargetConnection, ctrl: &Controller, out: &mut Vec<Pdu>) -> usize {
@@ -1074,8 +1074,8 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_barrier_parks_then_releases() {
-        let (vfs, mut ctrl) = offloaded_controller();
+    fn barrier_parks_then_releases() {
+        let (vfs, mut ctrl) = shared_file_controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
         handshake(&mut conn, &mut ctrl, 0);
         vfs.hold_syncs(true);
@@ -1120,7 +1120,7 @@ mod tests {
 
     #[test]
     fn abort_of_parked_barrier_defers_to_release() {
-        let (vfs, mut ctrl) = offloaded_controller();
+        let (vfs, mut ctrl) = shared_file_controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
         handshake(&mut conn, &mut ctrl, 0);
         vfs.hold_syncs(true);
@@ -1159,7 +1159,7 @@ mod tests {
 
     #[test]
     fn failed_sync_releases_parked_barrier_as_error() {
-        let (vfs, mut ctrl) = offloaded_controller();
+        let (vfs, mut ctrl) = shared_file_controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
         handshake(&mut conn, &mut ctrl, 0);
         vfs.set_fail_sync(true);

@@ -614,6 +614,9 @@ fn steady_state_cached_read_hits_allocate_nothing_and_skip_syscalls() {
         fn set_len(&mut self, len: u64) -> std::io::Result<()> {
             self.inner.set_len(len)
         }
+        fn sync_fn(&self) -> oaf_store::vfs::SyncFn {
+            self.inner.sync_fn()
+        }
     }
 
     let reads = Arc::new(AtomicU64::new(0));
@@ -685,9 +688,10 @@ fn steady_state_cached_read_hits_allocate_nothing_and_skip_syscalls() {
     );
 }
 
-/// The async durability pipeline under the same budget: a target
-/// connection over an *offloaded* shared disk with a barrier completion
-/// parked on the sync worker's ticket. Steady state — journaled writes,
+/// The durability pipeline under the same budget: a target connection
+/// over a file-backed namespace wired the default way (shared, so its
+/// barriers run on the store's sync worker) with a barrier completion
+/// parked on the worker's ticket. Steady state — journaled writes,
 /// write-zeroes, DSM trims flowing through the reactor path while every
 /// pass probes the sync-done queue ([`TargetConnection::poll_parked`])
 /// and finds the ticket still pending — must not allocate. The parked
@@ -708,12 +712,11 @@ fn steady_state_ops_with_parked_barrier_allocate_nothing() {
     // The log is sized so the tracked window never wraps it: a wrap
     // checkpoints, and a checkpoint's superblock barrier would block on
     // the held sync gate below.
-    let disk = FileDisk::create_on(Box::new(vfs.clone()), 512, 256, 4 * 1024 * 1024)
-        .expect("format")
-        .into_shared()
-        .with_sync_worker(Box::new(vfs.clone()));
-    let mut ctrl = Controller::new();
-    ctrl.add_namespace(Namespace::with_shared_file(1, disk));
+    let disk =
+        FileDisk::create_on(Box::new(vfs.clone()), 512, 256, 4 * 1024 * 1024).expect("format");
+    let mut owner = Controller::new();
+    owner.add_namespace(Namespace::with_file(1, disk));
+    let mut ctrl = owner.share();
     let mut conn = TargetConnection::new(TargetConfig::default(), None);
 
     let mut out = Vec::with_capacity(16);

@@ -7,55 +7,37 @@
 //! sequence appended when some sync started is retired by that sync —
 //! there is no reason for N concurrent barriers to issue N syncs.
 //!
-//! ## Ticket protocol
+//! ## One pipeline
 //!
-//! A barrier takes a *ticket* for its record's sequence number and loops
-//! on three states under one mutex:
+//! Every barrier of a [`SharedFileDisk`](crate::disk::SharedFileDisk)
+//! goes through the same three steps, whoever asks:
 //!
-//! 1. **retired** — `durable_seq >= ticket`: some sync (ours or another
-//!    queue's) already covered the ticket; return. If this barrier never
-//!    led a sync itself, it was coalesced (`fsyncs_coalesced`).
-//! 2. **leader** — no sync in flight: mark one in flight, drop the
-//!    coordination lock, take the disk lock, and sync *everything
-//!    appended so far* (the covered sequence is read under the disk
-//!    lock, so no append can sneak past it). Publish the covered
-//!    sequence, wake every waiter.
-//! 3. **follower** — a sync is in flight: park on the condvar. The
-//!    leader's wakeup re-runs the loop, so a ticket the finished sync
-//!    did not cover elects the next leader instead of being lost — no
-//!    lost-wakeup hang, no barrier completes early.
+//! - [`enrol`](GroupCommit::enrol) takes a ticket for the barrier's
+//!   record sequence and wakes the sync worker — no blocking, no
+//!   allocation. It is the one place a barrier is counted
+//!   (`barriers_offloaded`), and a ticket some earlier sync already
+//!   covered is counted coalesced right there.
+//! - The worker loops on `next_sync_request` / `complete_sync`
+//!   (crate-private worker rounds): each round snapshots the highest
+//!   requested sequence, runs one device barrier *off every reactor
+//!   thread*, and publishes either a new `durable_seq` or a `failed_seq`
+//!   watermark equal to the snapshot target — so an error fails exactly
+//!   the set of tickets that were parked behind that sync and nothing
+//!   submitted after it. A round retiring K tickets counts one `fsync`
+//!   and K − 1 coalesced barriers, so `fsyncs + fsyncs_coalesced`
+//!   equals the barriers enrolled.
+//! - A reactor resolves its ticket with [`poll`](GroupCommit::poll), a
+//!   lock-free read of two monotonic atomics cheap enough to probe every
+//!   pass; a blocking caller parks in [`wait`](GroupCommit::wait) on
+//!   the retired condvar. Durability wins over failure: a ticket covered
+//!   by a *later* successful sync is durable no matter what an earlier
+//!   round said.
 //!
 //! Batch telemetry: each sync records how many tickets it retired
 //! (`commit_batch`); with K concurrent writers the histogram's mass
 //! sits near K while `fsyncs` grows ~1/K as fast as barriers.
-//!
-//! ## Offloaded mode (async durability pipeline)
-//!
-//! When a sync worker thread is attached (see
-//! [`SharedFileDisk::with_sync_worker`](crate::disk::SharedFileDisk::with_sync_worker)),
-//! the coordinator grows a second, *completion-decoupled* face:
-//!
-//! - [`submit_sync`](GroupCommit::submit_sync) enrolls a barrier ticket
-//!   and returns a [`SyncHandle`] immediately — no blocking, no
-//!   allocation. The worker is woken through a condvar.
-//! - The worker loops on `next_sync_request` / `complete_sync`
-//!   (crate-private worker rounds): each round snapshots
-//!   the highest requested sequence, runs one device barrier *off every
-//!   reactor thread*, and publishes either a new `durable_seq` or a
-//!   `failed_seq` watermark equal to the snapshot target — so an error
-//!   fails exactly the set of tickets that were parked behind that sync
-//!   and nothing submitted after it.
-//! - [`poll_sync`](GroupCommit::poll_sync) is a lock-free read of two
-//!   monotonic atomics, cheap enough for a reactor to probe every pass.
-//!   Durability wins over failure: a ticket covered by a *later*
-//!   successful sync is durable no matter what an earlier round said.
-//!
-//! The blocking [`barrier`](GroupCommit::barrier) rides the worker when
-//! one is attached (enroll, wait on the retired condvar) so legacy
-//! callers keep group-commit batching without ever issuing their own
-//! `fdatasync`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use oaf_ssd::ram::BlockError;
@@ -89,15 +71,13 @@ impl SyncHandle {
     }
 }
 
-/// Coordinator state: the durability watermark plus the in-flight flag.
+/// Coordinator state: the durability watermarks and the worker's queue.
 #[derive(Default)]
 struct CommitState {
     /// Highest record sequence known durable on the platter.
     durable_seq: u64,
-    /// A leader is inside the sync syscall right now.
-    sync_in_flight: bool,
-    /// Tickets enrolled since the last sync completed (for the
-    /// batch-size histogram; includes the future leader itself).
+    /// Tickets enrolled since the worker's last snapshot (for the
+    /// batch-size histogram).
     tickets: u64,
     /// Tickets the worker moved into its current sync round (their
     /// sequences all predate the round's snapshot target).
@@ -106,16 +86,14 @@ struct CommitState {
     requested_seq: u64,
     /// Highest snapshot target a failed worker sync covered.
     failed_seq: u64,
-    /// A sync worker thread is attached and draining requests.
-    worker_attached: bool,
     /// The worker has been asked to exit.
-    worker_shutdown: bool,
+    shutdown: bool,
     /// Last worker sync error, kept for blocking waiters to surface.
     fail_msg: Option<String>,
 }
 
 /// The sync coordinator shared by every queue view of one
-/// [`SharedFileDisk`](crate::disk::SharedFileDisk).
+/// [`SharedFileDisk`](crate::disk::SharedFileDisk) and its sync worker.
 #[derive(Default)]
 pub struct GroupCommit {
     state: Mutex<CommitState>,
@@ -126,8 +104,6 @@ pub struct GroupCommit {
     durable: AtomicU64,
     /// Lock-free mirror of `failed_seq` for reactor-side polling.
     failed: AtomicU64,
-    /// Mirror of `worker_attached` readable without the lock.
-    offloaded: AtomicBool,
 }
 
 impl GroupCommit {
@@ -141,25 +117,19 @@ impl GroupCommit {
         self.state.lock().expect("commit lock poisoned").durable_seq
     }
 
-    /// True when a sync worker thread is attached: barriers should be
-    /// submitted (or ridden through the worker) rather than leading
-    /// their own `fdatasync`.
-    pub fn offloaded(&self) -> bool {
-        self.offloaded.load(Ordering::Acquire)
-    }
-
-    /// Enroll a non-blocking barrier ticket for `seq` and wake the sync
-    /// worker. Allocation-free. The returned handle is resolved with
-    /// [`poll_sync`](GroupCommit::poll_sync); a ticket that is already
-    /// durable resolves on the first poll.
-    pub fn submit_sync(&self, seq: u64, metrics: &StoreMetrics) -> SyncHandle {
+    /// Enrols a barrier ticket for `seq` and wakes the sync worker.
+    /// Allocation-free. Counts the barrier exactly once — in
+    /// `barriers_offloaded`, plus `fsyncs_coalesced` if an earlier sync
+    /// already covered it. The returned handle is resolved with
+    /// [`poll`](GroupCommit::poll) or [`wait`](GroupCommit::wait).
+    pub fn enrol(&self, seq: u64, metrics: &StoreMetrics) -> SyncHandle {
         let mut guard = self.state.lock().expect("commit lock poisoned");
         metrics.barriers_offloaded.inc();
-        if guard.durable_seq < seq {
+        if guard.durable_seq >= seq {
+            metrics.fsyncs_coalesced.inc();
+        } else {
             guard.tickets += 1;
-            if guard.requested_seq < seq {
-                guard.requested_seq = seq;
-            }
+            guard.requested_seq = guard.requested_seq.max(seq);
             metrics
                 .sync_queue_depth
                 .set((guard.tickets + guard.syncing_tickets) as i64);
@@ -168,11 +138,11 @@ impl GroupCommit {
         SyncHandle { seq }
     }
 
-    /// Lock-free status probe for a submitted ticket. Durability is
+    /// Lock-free status probe for an enrolled ticket. Durability is
     /// checked first: a later successful sync genuinely covered the
     /// ticket even if an earlier round failed.
     #[inline]
-    pub fn poll_sync(&self, handle: SyncHandle) -> SyncStatus {
+    pub fn poll(&self, handle: SyncHandle) -> SyncStatus {
         if self.durable.load(Ordering::Acquire) >= handle.seq {
             SyncStatus::Durable
         } else if self.failed.load(Ordering::Acquire) >= handle.seq {
@@ -182,22 +152,29 @@ impl GroupCommit {
         }
     }
 
-    /// Marks a worker thread attached; subsequent barriers ride it.
-    pub(crate) fn attach_worker(&self) {
+    /// Blocks until an enrolled ticket resolves: `Ok` once durable, the
+    /// worker's error if the sync covering it failed (or the worker
+    /// stopped first).
+    pub fn wait(&self, handle: SyncHandle) -> Result<(), BlockError> {
         let mut guard = self.state.lock().expect("commit lock poisoned");
-        guard.worker_attached = true;
-        guard.worker_shutdown = false;
-        self.offloaded.store(true, Ordering::Release);
+        loop {
+            if guard.durable_seq >= handle.seq {
+                return Ok(());
+            }
+            if guard.failed_seq >= handle.seq || guard.shutdown {
+                let msg = guard
+                    .fail_msg
+                    .clone()
+                    .unwrap_or_else(|| "sync worker stopped".to_string());
+                return Err(BlockError::Io(msg));
+            }
+            guard = self.retired.wait(guard).expect("commit lock poisoned");
+        }
     }
 
-    /// Asks the worker to exit and detaches offloaded mode. Blocking
-    /// waiters are woken so they can fall back to the inline path.
+    /// Asks the worker to exit; blocking waiters are woken and fail.
     pub(crate) fn shutdown_worker(&self) {
-        let mut guard = self.state.lock().expect("commit lock poisoned");
-        guard.worker_shutdown = true;
-        guard.worker_attached = false;
-        self.offloaded.store(false, Ordering::Release);
-        drop(guard);
+        self.state.lock().expect("commit lock poisoned").shutdown = true;
         self.work.notify_all();
         self.retired.notify_all();
     }
@@ -209,7 +186,7 @@ impl GroupCommit {
     pub(crate) fn next_sync_request(&self) -> Option<u64> {
         let mut guard = self.state.lock().expect("commit lock poisoned");
         loop {
-            if guard.worker_shutdown {
+            if guard.shutdown {
                 return None;
             }
             let retired_hi = guard.durable_seq.max(guard.failed_seq);
@@ -239,6 +216,9 @@ impl GroupCommit {
                 guard.durable_seq = guard.durable_seq.max(covered);
                 self.durable.store(guard.durable_seq, Ordering::Release);
                 metrics.commit_batch.record(guard.syncing_tickets.max(1));
+                metrics
+                    .fsyncs_coalesced
+                    .add(guard.syncing_tickets.saturating_sub(1));
             }
             Err(e) => {
                 guard.failed_seq = guard.failed_seq.max(target);
@@ -258,300 +238,126 @@ impl GroupCommit {
         drop(guard);
         self.retired.notify_all();
     }
-
-    /// Blocks until every record with sequence ≤ `seq` is durable.
-    ///
-    /// `sync` performs one device barrier and returns the highest
-    /// sequence it covered; it is invoked at most once per elected
-    /// leader and never concurrently with itself. A barrier that
-    /// returns without having led a sync was coalesced into another
-    /// barrier's `fdatasync`.
-    pub fn barrier(
-        &self,
-        seq: u64,
-        metrics: &StoreMetrics,
-        mut sync: impl FnMut() -> Result<u64, BlockError>,
-    ) -> Result<(), BlockError> {
-        if self.offloaded() {
-            if let Some(res) = self.barrier_via_worker(seq, metrics) {
-                return res;
-            }
-            // Worker detached while we waited: fall through and lead.
-        }
-        metrics.barriers_inline.inc();
-        let mut led_sync = false;
-        let mut guard = self.state.lock().expect("commit lock poisoned");
-        if guard.durable_seq < seq {
-            guard.tickets += 1;
-        }
-        loop {
-            if guard.durable_seq >= seq {
-                if !led_sync {
-                    metrics.fsyncs_coalesced.inc();
-                }
-                return Ok(());
-            }
-            if !guard.sync_in_flight {
-                // Leader: sync outside the coordination lock so arriving
-                // barriers can enroll as followers meanwhile.
-                guard.sync_in_flight = true;
-                drop(guard);
-                let res = sync();
-                led_sync = true;
-                guard = self.state.lock().expect("commit lock poisoned");
-                guard.sync_in_flight = false;
-                match res {
-                    Ok(covered) => {
-                        guard.durable_seq = guard.durable_seq.max(covered);
-                        self.durable.store(guard.durable_seq, Ordering::Release);
-                        // Every enrolled ticket's record predates the
-                        // sync we just led, so the batch is all of them;
-                        // a ticket the watermark somehow missed re-enrolls
-                        // below.
-                        metrics.commit_batch.record(guard.tickets.max(1));
-                        guard.tickets = 0;
-                        if guard.durable_seq < seq {
-                            guard.tickets += 1;
-                        }
-                    }
-                    Err(e) => {
-                        // Dead store: wake everyone so they fail fast on
-                        // their own sync attempt instead of hanging.
-                        self.retired.notify_all();
-                        return Err(e);
-                    }
-                }
-                self.retired.notify_all();
-            } else {
-                guard = self.retired.wait(guard).expect("commit lock poisoned");
-            }
-        }
-    }
-
-    /// Blocking barrier in offloaded mode: enroll a ticket, wake the
-    /// worker, and park on the retired condvar until the watermark
-    /// passes. Returns `None` if the worker detaches mid-wait (the
-    /// caller falls back to leading its own sync).
-    fn barrier_via_worker(
-        &self,
-        seq: u64,
-        metrics: &StoreMetrics,
-    ) -> Option<Result<(), BlockError>> {
-        let mut guard = self.state.lock().expect("commit lock poisoned");
-        if guard.durable_seq >= seq {
-            metrics.fsyncs_coalesced.inc();
-            return Some(Ok(()));
-        }
-        if !guard.worker_attached {
-            return None;
-        }
-        metrics.barriers_offloaded.inc();
-        guard.tickets += 1;
-        if guard.requested_seq < seq {
-            guard.requested_seq = seq;
-        }
-        metrics
-            .sync_queue_depth
-            .set((guard.tickets + guard.syncing_tickets) as i64);
-        self.work.notify_one();
-        loop {
-            if guard.durable_seq >= seq {
-                return Some(Ok(()));
-            }
-            if guard.failed_seq >= seq {
-                let msg = guard
-                    .fail_msg
-                    .clone()
-                    .unwrap_or_else(|| "sync worker failed".to_string());
-                return Some(Err(BlockError::Io(msg)));
-            }
-            if !guard.worker_attached {
-                return None;
-            }
-            guard = self.retired.wait(guard).expect("commit lock poisoned");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
-    fn single_barrier_syncs_once() {
+    fn one_round_retires_every_enrolled_ticket() {
         let gc = GroupCommit::new();
         let m = StoreMetrics::new();
-        let syncs = AtomicU64::new(0);
-        gc.barrier(5, &m, || {
-            syncs.fetch_add(1, Ordering::SeqCst);
-            Ok(7)
-        })
-        .unwrap();
-        assert_eq!(syncs.load(Ordering::SeqCst), 1);
-        assert_eq!(gc.durable_seq(), 7);
-        assert_eq!(m.fsyncs_coalesced.get(), 0);
-        assert_eq!(m.commit_batch.snapshot().count, 1);
-    }
-
-    #[test]
-    fn covered_barrier_never_syncs() {
-        let gc = GroupCommit::new();
-        let m = StoreMetrics::new();
-        gc.barrier(3, &m, || Ok(10)).unwrap();
-        // Seqs 4..=10 were covered by the first sync.
-        gc.barrier(10, &m, || panic!("must not sync")).unwrap();
-        assert_eq!(m.fsyncs_coalesced.get(), 1);
-    }
-
-    #[test]
-    fn sync_error_propagates_and_unblocks() {
-        let gc = Arc::new(GroupCommit::new());
-        let m = StoreMetrics::new();
-        let err = gc
-            .barrier(1, &m, || Err(BlockError::Io("dead".into())))
-            .unwrap_err();
-        assert!(matches!(err, BlockError::Io(_)));
-        // The coordinator is not wedged: a later barrier can still lead.
-        gc.barrier(1, &m, || Ok(1)).unwrap();
-        assert_eq!(gc.durable_seq(), 1);
-    }
-
-    #[test]
-    fn concurrent_barriers_coalesce() {
-        let gc = Arc::new(GroupCommit::new());
-        let m = StoreMetrics::new();
-        let appended = Arc::new(AtomicU64::new(0));
-        let syncs = Arc::new(AtomicU64::new(0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let gc = Arc::clone(&gc);
-                let m = Arc::clone(&m);
-                let appended = Arc::clone(&appended);
-                let syncs = Arc::clone(&syncs);
-                std::thread::spawn(move || {
-                    for _ in 0..32 {
-                        let seq = appended.fetch_add(1, Ordering::SeqCst) + 1;
-                        let appended = Arc::clone(&appended);
-                        let syncs = Arc::clone(&syncs);
-                        gc.barrier(seq, &m, move || {
-                            syncs.fetch_add(1, Ordering::SeqCst);
-                            // Emulate a slow device barrier so queues pile
-                            // up behind the leader.
-                            std::thread::sleep(std::time::Duration::from_micros(200));
-                            Ok(appended.load(Ordering::SeqCst))
-                        })
-                        .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let total = 8 * 32u64;
-        let s = syncs.load(Ordering::SeqCst);
-        assert!(s < total, "no coalescing: {s} syncs for {total} barriers");
-        assert_eq!(m.fsyncs_coalesced.get(), total - s);
-        assert_eq!(gc.durable_seq(), total);
-    }
-
-    #[test]
-    fn submit_poll_roundtrip_through_a_manual_worker() {
-        let gc = GroupCommit::new();
-        let m = StoreMetrics::new();
-        gc.attach_worker();
-        let h1 = gc.submit_sync(1, &m);
-        let h2 = gc.submit_sync(2, &m);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Pending);
-        assert_eq!(m.sync_queue_depth.get(), 2);
-        assert_eq!(m.barriers_offloaded.get(), 2);
-        // Play the worker: one round covers both tickets.
+        let h1 = gc.enrol(1, &m);
+        let h2 = gc.enrol(2, &m);
+        let h3 = gc.enrol(3, &m);
+        assert_eq!(gc.poll(h1), SyncStatus::Pending);
+        assert_eq!(m.sync_queue_depth.get(), 3);
+        assert_eq!(m.barriers_offloaded.get(), 3);
+        // Play the worker: one round covers all three tickets.
         let target = gc.next_sync_request().expect("work pending");
-        assert_eq!(target, 2);
+        assert_eq!(target, 3);
         gc.complete_sync(target, Ok(5), &m);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Durable);
-        assert_eq!(gc.poll_sync(h2), SyncStatus::Durable);
+        for h in [h1, h2, h3] {
+            assert_eq!(gc.poll(h), SyncStatus::Durable);
+        }
+        assert_eq!(gc.durable_seq(), 5);
         assert_eq!(m.sync_queue_depth.get(), 0);
+        let batch = m.commit_batch.snapshot();
+        assert_eq!((batch.count, batch.sum), (1, 3));
+        assert_eq!(m.fsyncs_coalesced.get(), 2, "one sync, two riders");
+    }
+
+    #[test]
+    fn covered_ticket_counts_once_and_queues_nothing() {
+        let gc = GroupCommit::new();
+        let m = StoreMetrics::new();
+        let h = gc.enrol(3, &m);
+        let target = gc.next_sync_request().unwrap();
+        gc.complete_sync(target, Ok(10), &m);
+        assert_eq!(gc.poll(h), SyncStatus::Durable);
+        // Seqs 4..=10 were covered by that sync: resolved on the first
+        // poll, counted as a barrier and as coalesced, no new work.
+        let covered = gc.enrol(10, &m);
+        assert_eq!(gc.poll(covered), SyncStatus::Durable);
+        gc.wait(covered).unwrap();
+        assert_eq!(m.sync_queue_depth.get(), 0);
+        assert_eq!(m.barriers_offloaded.get(), 2);
+        assert_eq!(m.fsyncs_coalesced.get(), 1);
         assert_eq!(m.commit_batch.snapshot().count, 1);
-        // Already-durable submits resolve on the first poll, no new work.
-        let h3 = gc.submit_sync(4, &m);
-        assert_eq!(gc.poll_sync(h3), SyncStatus::Durable);
     }
 
     #[test]
     fn sync_error_fails_exactly_the_parked_set() {
         let gc = GroupCommit::new();
         let m = StoreMetrics::new();
-        gc.attach_worker();
-        let h1 = gc.submit_sync(1, &m);
-        let h2 = gc.submit_sync(2, &m);
+        let h1 = gc.enrol(1, &m);
+        let h2 = gc.enrol(2, &m);
         let target = gc.next_sync_request().unwrap();
         gc.complete_sync(target, Err(BlockError::Io("dead".into())), &m);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Failed);
-        assert_eq!(gc.poll_sync(h2), SyncStatus::Failed);
-        // A ticket submitted after the failure is NOT failed by it…
-        let h3 = gc.submit_sync(3, &m);
-        assert_eq!(gc.poll_sync(h3), SyncStatus::Pending);
+        assert_eq!(gc.poll(h1), SyncStatus::Failed);
+        assert_eq!(gc.poll(h2), SyncStatus::Failed);
+        assert!(matches!(gc.wait(h1), Err(BlockError::Io(_))));
+        // A ticket enrolled after the failure is NOT failed by it…
+        let h3 = gc.enrol(3, &m);
+        assert_eq!(gc.poll(h3), SyncStatus::Pending);
         // …and a later successful round makes everything durable —
         // including the earlier tickets, whose records the new device
         // barrier genuinely covered (durability wins over failure).
         let target = gc.next_sync_request().unwrap();
         assert_eq!(target, 3);
         gc.complete_sync(target, Ok(3), &m);
-        assert_eq!(gc.poll_sync(h3), SyncStatus::Durable);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Durable);
+        assert_eq!(gc.poll(h3), SyncStatus::Durable);
+        assert_eq!(gc.poll(h1), SyncStatus::Durable);
+        assert_eq!(gc.durable_seq(), 3);
+    }
+
+    /// Spawns a blocking barrier for `seq` (enrol + wait), as
+    /// `SharedFileDisk::write(fua)` runs it.
+    fn blocking_barrier(
+        gc: &Arc<GroupCommit>,
+        m: &Arc<StoreMetrics>,
+        seq: u64,
+    ) -> std::thread::JoinHandle<Result<(), BlockError>> {
+        let (gc, m) = (Arc::clone(gc), Arc::clone(m));
+        std::thread::spawn(move || gc.wait(gc.enrol(seq, &m)))
     }
 
     #[test]
-    fn blocking_barrier_rides_the_attached_worker() {
+    fn blocking_barrier_waits_for_the_worker_round() {
         let gc = Arc::new(GroupCommit::new());
         let m = StoreMetrics::new();
-        gc.attach_worker();
-        let waiter = {
-            let gc = Arc::clone(&gc);
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || {
-                gc.barrier(7, &m, || -> Result<u64, BlockError> {
-                    panic!("offloaded barrier must never lead its own sync")
-                })
-            })
-        };
-        // Worker side: serve rounds until the waiter's seq is requested.
-        let target = gc.next_sync_request().expect("waiter enrolls a ticket");
+        let waiter = blocking_barrier(&gc, &m, 7);
+        // Worker side: the waiter's enrolment is what wakes this round.
+        let target = gc.next_sync_request().expect("waiter enrols a ticket");
         assert_eq!(target, 7);
         gc.complete_sync(target, Ok(7), &m);
         waiter.join().unwrap().unwrap();
         assert_eq!(gc.durable_seq(), 7);
         assert_eq!(m.barriers_offloaded.get(), 1);
-        assert_eq!(m.barriers_inline.get(), 0);
+        assert_eq!(m.fsyncs_coalesced.get(), 0);
     }
 
     #[test]
     fn blocking_barrier_surfaces_worker_failure() {
         let gc = Arc::new(GroupCommit::new());
         let m = StoreMetrics::new();
-        gc.attach_worker();
-        let waiter = {
-            let gc = Arc::clone(&gc);
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || {
-                gc.barrier(1, &m, || -> Result<u64, BlockError> {
-                    panic!("offloaded barrier must never lead its own sync")
-                })
-            })
-        };
+        let waiter = blocking_barrier(&gc, &m, 1);
         let target = gc.next_sync_request().unwrap();
         gc.complete_sync(target, Err(BlockError::Io("dead".into())), &m);
         let err = waiter.join().unwrap().unwrap_err();
         assert!(matches!(err, BlockError::Io(_)), "got {err:?}");
+        // The coordinator is not wedged: the next barrier still retires.
+        let waiter = blocking_barrier(&gc, &m, 2);
+        let target = gc.next_sync_request().unwrap();
+        gc.complete_sync(target, Ok(2), &m);
+        waiter.join().unwrap().unwrap();
     }
 
     #[test]
-    fn shutdown_wakes_the_worker_loop() {
+    fn shutdown_wakes_the_worker_loop_and_fails_waiters() {
         let gc = Arc::new(GroupCommit::new());
-        gc.attach_worker();
         let worker = {
             let gc = Arc::clone(&gc);
             std::thread::spawn(move || gc.next_sync_request())
@@ -560,6 +366,10 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         gc.shutdown_worker();
         assert_eq!(worker.join().unwrap(), None);
-        assert!(!gc.offloaded());
+        let m = StoreMetrics::new();
+        assert!(
+            gc.wait(gc.enrol(1, &m)).is_err(),
+            "no worker, no durability"
+        );
     }
 }

@@ -24,10 +24,10 @@
 //! first, so the deferred apply is indistinguishable from the eager one
 //! to recovery. Read hits are served from the cache with zero syscalls.
 //!
-//! Under [`SharedFileDisk`], FUA/Flush barriers go through a
-//! [`GroupCommit`] coordinator: concurrent barriers from many queues
-//! coalesce into one `fdatasync` per batch window instead of queueing
-//! N syncs behind one lock.
+//! Under [`SharedFileDisk`], FUA/Flush barriers are enrolled with a
+//! [`GroupCommit`] coordinator and retired by the disk's sync worker:
+//! concurrent barriers from many queues coalesce into one `fdatasync`
+//! per worker round, and no caller ever runs the sync itself.
 //!
 //! ## Recovery invariants
 //!
@@ -75,7 +75,7 @@ use crate::log::{
     SB_SLOT_LEN,
 };
 use crate::metrics::StoreMetrics;
-use crate::vfs::{RealVfs, Vfs};
+use crate::vfs::{RealVfs, SyncFn, Vfs};
 
 /// Default intent-log size for path-based constructors.
 pub const DEFAULT_LOG_BYTES: u64 = 4 << 20;
@@ -467,25 +467,22 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Drain the cache and take one durability barrier; returns the
-    /// highest record sequence the barrier covered. This is the `sync`
-    /// closure [`GroupCommit`] leaders run (under the disk lock, so no
-    /// append can slip between the covered-sequence read and the
-    /// fsync).
-    pub(crate) fn seal(&mut self) -> Result<u64, BlockError> {
+    /// The owned disk's durability barrier for FUA and Flush: drain the
+    /// cache and sync on the calling thread. A [`SharedFileDisk`] never
+    /// runs this; its barriers go to the sync worker.
+    fn seal(&mut self) -> Result<(), BlockError> {
         self.writeback_all()?;
-        self.sync_barrier()?;
-        Ok(self.next_seq - 1)
+        self.sync_barrier()
     }
 
-    /// Phase 1 of an *offloaded* barrier, run by the sync worker under
-    /// the disk lock: drain the cache and pin the covered watermark,
-    /// but do **not** sync — the worker issues the `fdatasync` through
-    /// its own vfs handle after releasing this lock, so reads and
-    /// journaled writes keep flowing for the barrier's whole duration.
-    /// Returns `(covered_seq, dirty_bytes_taken)`; the worker accounts
-    /// the bytes to `flushed_bytes` once the sync lands.
-    pub(crate) fn prepare_offload_sync(&mut self) -> Result<(u64, u64), BlockError> {
+    /// Phase 1 of a worker barrier, run by the sync worker under the
+    /// disk lock: drain the cache and pin the covered watermark, but do
+    /// **not** sync — the worker issues the `fdatasync` through its
+    /// [`SyncFn`] after releasing this lock, so reads and journaled
+    /// writes keep flowing for the barrier's whole duration. Returns
+    /// `(covered_seq, dirty_bytes_taken)`; the worker accounts the bytes
+    /// to `flushed_bytes` once the sync lands.
+    fn prepare_worker_sync(&mut self) -> Result<(u64, u64), BlockError> {
         self.writeback_all()?;
         let dirty = std::mem::take(&mut self.dirty_bytes);
         Ok((self.next_seq - 1, dirty))
@@ -700,10 +697,10 @@ impl FileDisk {
     /// Journal + apply without any sync barrier — even for `fua`, whose
     /// flag is still recorded in the header; the *caller* owns the
     /// barrier (directly via [`Self::seal`], or through
-    /// [`GroupCommit::barrier`] for shared disks). Returns the record's
+    /// [`GroupCommit::enrol`] for shared disks). Returns the record's
     /// sequence number. With a cache, the apply is deferred: blocks
     /// park dirty, pinned to this sequence.
-    pub(crate) fn write_journaled(
+    fn write_journaled(
         &mut self,
         lba: u64,
         count: u32,
@@ -754,7 +751,7 @@ impl FileDisk {
 
     /// Journals a Flush record (no sync); returns its sequence so the
     /// caller can take a group-commit ticket against it.
-    pub(crate) fn append_flush_record(&mut self) -> Result<u64, BlockError> {
+    fn append_flush_record(&mut self) -> Result<u64, BlockError> {
         self.append_record(RecordKind::Flush, 0, 0, 0, &[])?;
         Ok(self.next_seq - 1)
     }
@@ -771,15 +768,35 @@ impl FileDisk {
     }
 
     /// Converts this disk into a [`SharedFileDisk`] over the same file,
-    /// for multi-queue access from several reactor threads.
+    /// for multi-queue access from several reactor threads, and starts
+    /// its sync worker (syncing through the vfs's [`Vfs::sync_fn`]).
     pub fn into_shared(self) -> SharedFileDisk {
+        let sync = self.vfs.sync_fn();
+        let (block_size, capacity_blocks) = (self.sb.block_size, self.sb.capacity_blocks);
+        let metrics = Arc::clone(&self.metrics);
+        let commit = Arc::new(GroupCommit::new());
+        let inner = Arc::new(parking_lot::Mutex::new(self));
+        let join = {
+            let (commit, inner, metrics) = (
+                Arc::clone(&commit),
+                Arc::clone(&inner),
+                Arc::clone(&metrics),
+            );
+            std::thread::Builder::new()
+                .name("oaf-sync".into())
+                .spawn(move || run_sync_worker(&commit, &inner, &metrics, sync))
+                .expect("spawn sync worker")
+        };
         SharedFileDisk {
-            block_size: self.sb.block_size,
-            capacity_blocks: self.sb.capacity_blocks,
-            metrics: Arc::clone(&self.metrics),
-            commit: Arc::new(GroupCommit::new()),
-            inner: Arc::new(parking_lot::Mutex::new(self)),
-            worker: None,
+            block_size,
+            capacity_blocks,
+            _worker: Arc::new(SyncWorkerHandle {
+                commit: Arc::clone(&commit),
+                join: Some(join),
+            }),
+            metrics,
+            commit,
+            inner,
         }
     }
 
@@ -885,8 +902,7 @@ impl BlockStore for FileDisk {
 
     fn flush(&mut self) -> Result<(), BlockError> {
         self.append_flush_record()?;
-        self.seal()?;
-        Ok(())
+        self.seal()
     }
 }
 
@@ -900,15 +916,20 @@ impl BlockStore for FileDisk {
 /// for the journal append + (deferred) apply. Geometry queries stay
 /// lock-free.
 ///
-/// Durability barriers do **not** simply queue behind that lock: a
-/// FUA/Flush releases the disk lock after its journal append, then
-/// takes a [`GroupCommit`] ticket for its record's sequence. One
-/// elected leader re-acquires the lock, drains the cache and issues a
-/// single `fdatasync` covering every sequence appended so far; all
-/// concurrently waiting barriers retire on that one sync
-/// (`fsyncs_coalesced` counts them).
+/// Durability barriers never run on the caller's thread: a FUA/Flush
+/// releases the disk lock after its journal append and enrols a
+/// [`GroupCommit`] ticket for its record's sequence. The disk's sync
+/// worker drains the cache under the lock, then issues one `fdatasync`
+/// with the lock released, retiring every ticket enrolled before the
+/// round. A reactor parks the ticket ([`write_async`]/[`flush_async`])
+/// and keeps serving; a blocking caller ([`write`]/[`flush`]) waits for
+/// it.
 ///
 /// [`SharedRamDisk`]: oaf_ssd::ram::SharedRamDisk
+/// [`write_async`]: SharedFileDisk::write_async
+/// [`flush_async`]: SharedFileDisk::flush_async
+/// [`write`]: SharedFileDisk::write
+/// [`flush`]: SharedFileDisk::flush
 #[derive(Clone)]
 pub struct SharedFileDisk {
     block_size: u32,
@@ -916,9 +937,9 @@ pub struct SharedFileDisk {
     metrics: Arc<StoreMetrics>,
     commit: Arc<GroupCommit>,
     inner: Arc<parking_lot::Mutex<FileDisk>>,
-    /// Sync worker lifecycle handle; the last clone to drop shuts the
-    /// worker down and joins it.
-    worker: Option<Arc<SyncWorkerHandle>>,
+    /// Held for its `Drop`: the last clone to go shuts the sync worker
+    /// down and joins it.
+    _worker: Arc<SyncWorkerHandle>,
 }
 
 /// Owns the sync worker thread's lifetime. Held behind an `Arc` inside
@@ -927,90 +948,51 @@ pub struct SharedFileDisk {
 /// disk never outlives its barrier pipeline.
 struct SyncWorkerHandle {
     commit: Arc<GroupCommit>,
-    join: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
+    join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for SyncWorkerHandle {
     fn drop(&mut self) {
         self.commit.shutdown_worker();
-        if let Some(join) = self.join.lock().expect("worker join poisoned").take() {
+        if let Some(join) = self.join.take() {
             let _ = join.join();
         }
     }
 }
 
 /// The sync worker loop: wait for barrier tickets, drain the cache
-/// under the disk lock (phase 1), then run the `fdatasync` through a
-/// *dedicated* vfs handle with the disk lock released (phase 2), and
+/// under the disk lock (phase 1), then run the `fdatasync` through the
+/// vfs's detached [`SyncFn`] with the disk lock released (phase 2), and
 /// publish the outcome. Reads and journaled writes proceed on other
 /// threads for the entire syscall; an error fails exactly the round's
 /// parked set via [`GroupCommit::complete_sync`].
 fn run_sync_worker(
-    commit: Arc<GroupCommit>,
-    inner: Arc<parking_lot::Mutex<FileDisk>>,
-    metrics: Arc<StoreMetrics>,
-    mut sync_vfs: Box<dyn Vfs>,
+    commit: &GroupCommit,
+    inner: &parking_lot::Mutex<FileDisk>,
+    metrics: &StoreMetrics,
+    mut sync: SyncFn,
 ) {
     while let Some(target) = commit.next_sync_request() {
         let res = (|| {
-            let (covered, dirty) = inner.lock().prepare_offload_sync()?;
+            let (covered, dirty) = inner.lock().prepare_worker_sync()?;
             let t0 = Instant::now();
-            sync_vfs.sync().map_err(|e| io_err("fsync", e))?;
+            sync().map_err(|e| io_err("fsync", e))?;
             metrics.fsyncs.inc();
             metrics.fsync_ns.record_nanos(t0.elapsed());
             metrics.flushed_bytes.add(dirty);
             Ok(covered)
         })();
-        commit.complete_sync(target, res, &metrics);
+        commit.complete_sync(target, res, metrics);
     }
 }
 
 impl SharedFileDisk {
-    /// Attaches a dedicated sync worker thread: from here on, every
-    /// durability barrier — blocking [`write`](SharedFileDisk::write)/
-    /// [`flush`](SharedFileDisk::flush) calls included — is served by
-    /// the worker's `fdatasync` instead of one taken on the calling
-    /// thread, and the non-blocking
-    /// [`write_async`](SharedFileDisk::write_async)/
-    /// [`flush_async`](SharedFileDisk::flush_async) paths become
-    /// available.
-    ///
-    /// `sync_vfs` must be a second handle onto the *same backing
-    /// storage* whose `sync` makes the disk handle's writes durable —
-    /// for a real file, the same path opened again (syncing either fd
-    /// flushes the inode); tests pass a clone of a shared vfs. The
-    /// worker syncs through this handle so the disk lock is *not* held
-    /// across the syscall.
-    pub fn with_sync_worker(self, sync_vfs: Box<dyn Vfs>) -> SharedFileDisk {
-        assert!(self.worker.is_none(), "sync worker already attached");
-        self.commit.attach_worker();
-        let commit = Arc::clone(&self.commit);
-        let inner = Arc::clone(&self.inner);
-        let metrics = Arc::clone(&self.metrics);
-        let join = std::thread::Builder::new()
-            .name("oaf-sync".into())
-            .spawn(move || run_sync_worker(commit, inner, metrics, sync_vfs))
-            .expect("spawn sync worker");
-        SharedFileDisk {
-            worker: Some(Arc::new(SyncWorkerHandle {
-                commit: Arc::clone(&self.commit),
-                join: std::sync::Mutex::new(Some(join)),
-            })),
-            ..self
-        }
-    }
-
-    /// True when barriers are offloaded to a sync worker — the
-    /// precondition for the `*_async` submit paths to return tickets.
-    pub fn sync_offloaded(&self) -> bool {
-        self.commit.offloaded()
-    }
-
-    /// Non-blocking poll of a submitted barrier ticket (lock-free).
+    /// Non-blocking poll of an enrolled barrier ticket (lock-free).
     #[inline]
     pub fn poll_barrier(&self, handle: SyncHandle) -> SyncStatus {
-        self.commit.poll_sync(handle)
+        self.commit.poll(handle)
     }
+
     /// Block size in bytes.
     pub fn block_size(&self) -> u32 {
         self.block_size
@@ -1032,39 +1014,26 @@ impl SharedFileDisk {
         &self.commit
     }
 
-    /// Retires a durability barrier for record `seq` through group
-    /// commit: coalesces with any in-flight sync that covers it, else
-    /// leads one `seal` (cache drain + `fdatasync`) under the disk
-    /// lock.
-    fn barrier(&self, seq: u64) -> Result<(), BlockError> {
-        self.commit
-            .barrier(seq, &self.metrics, || self.inner.lock().seal())
-    }
-
     /// Reads `count` blocks starting at `lba` into `buf`.
     pub fn read(&self, lba: u64, count: u32, buf: &mut [u8]) -> Result<(), BlockError> {
         self.inner.lock().read(lba, count, buf)
     }
 
     /// Writes `count` blocks starting at `lba` from `buf`; with `fua`
-    /// the write is durable before returning (via group commit, so
-    /// concurrent FUA writers share one `fdatasync` per batch window).
+    /// the write is durable before returning (the caller waits for the
+    /// sync worker, so concurrent FUA writers share one `fdatasync`).
     pub fn write(&self, lba: u64, count: u32, buf: &[u8], fua: bool) -> Result<(), BlockError> {
-        let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
-        if fua {
-            self.barrier(seq)?;
+        match self.write_async(lba, count, buf, fua)? {
+            Some(handle) => self.commit.wait(handle),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Journals (and applies/caches) a write like
-    /// [`write`](SharedFileDisk::write), but when `fua` is set and a
-    /// sync worker is attached, the durability barrier is *submitted*
-    /// instead of awaited: the returned [`SyncHandle`] parks until
-    /// [`poll_barrier`](SharedFileDisk::poll_barrier) reports it
-    /// durable (or failed). Without a worker — or without `fua` — this
-    /// degenerates to the blocking semantics and returns `None`
-    /// already-retired.
+    /// [`write`](SharedFileDisk::write), but a `fua` barrier is
+    /// *enrolled* instead of awaited: the returned [`SyncHandle`] parks
+    /// until [`poll_barrier`](SharedFileDisk::poll_barrier) reports it
+    /// durable (or failed). A plain write returns `None`.
     pub fn write_async(
         &self,
         lba: u64,
@@ -1073,29 +1042,14 @@ impl SharedFileDisk {
         fua: bool,
     ) -> Result<Option<SyncHandle>, BlockError> {
         let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
-        if !fua {
-            return Ok(None);
-        }
-        if self.commit.offloaded() {
-            Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
-        } else {
-            self.barrier(seq)?;
-            Ok(None)
-        }
+        Ok(fua.then(|| self.commit.enrol(seq, &self.metrics)))
     }
 
-    /// Journals a Flush and submits its barrier to the sync worker,
-    /// returning a parked [`SyncHandle`]; falls back to the blocking
-    /// group-commit barrier (returning `None`) when no worker is
-    /// attached.
-    pub fn flush_async(&self) -> Result<Option<SyncHandle>, BlockError> {
+    /// Journals a Flush and enrols its barrier with the sync worker,
+    /// returning the parked [`SyncHandle`].
+    pub fn flush_async(&self) -> Result<SyncHandle, BlockError> {
         let seq = self.inner.lock().append_flush_record()?;
-        if self.commit.offloaded() {
-            Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
-        } else {
-            self.barrier(seq)?;
-            Ok(None)
-        }
+        Ok(self.commit.enrol(seq, &self.metrics))
     }
 
     /// Zeroes `count` blocks starting at `lba` (journaled).
@@ -1111,8 +1065,8 @@ impl SharedFileDisk {
     /// Durability barrier for every acknowledged write (group-commit
     /// coalesced).
     pub fn flush(&self) -> Result<(), BlockError> {
-        let seq = self.inner.lock().append_flush_record()?;
-        self.barrier(seq)
+        let handle = self.flush_async()?;
+        self.commit.wait(handle)
     }
 }
 
@@ -1432,27 +1386,29 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_write_async_parks_then_retires() {
+    fn write_async_parks_then_retires() {
         let vfs = SharedMemVfs::new();
         let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs));
-        assert!(d.sync_offloaded());
+            .into_shared();
+        let formatted = vfs.syncs();
         let h = d
             .write_async(3, 1, &[0x5au8; 512], true)
             .unwrap()
-            .expect("fua on an offloaded disk returns a ticket");
+            .expect("fua returns a ticket");
         poll_until(&d, h, crate::commit::SyncStatus::Durable);
-        // Plain writes never ticket; blocking FUA rides the worker.
+        // Plain writes never ticket; blocking FUA waits on the worker.
         assert!(d.write_async(4, 1, &[1u8; 512], false).unwrap().is_none());
         d.write(5, 1, &[2u8; 512], true).unwrap();
-        let h2 = d.flush_async().unwrap().expect("flush tickets too");
+        let h2 = d.flush_async().unwrap();
         poll_until(&d, h2, crate::commit::SyncStatus::Durable);
         let m = d.metrics();
-        assert!(m.barriers_offloaded.get() >= 3);
-        assert_eq!(m.barriers_inline.get(), 0, "no barrier ran inline");
-        assert!(m.fsyncs.get() >= 1);
+        assert_eq!(m.barriers_offloaded.get(), 3);
+        assert_eq!(
+            vfs.syncs() - formatted,
+            m.fsyncs.get(),
+            "every sync ran on the worker"
+        );
         let mut out = [0u8; 512];
         d.read(3, 1, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0x5a));
@@ -1463,8 +1419,7 @@ mod tests {
         let vfs = SharedMemVfs::new();
         let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs.clone()));
+            .into_shared();
         vfs.set_fail_sync(true);
         let h = d.write_async(0, 1, &[9u8; 512], true).unwrap().unwrap();
         poll_until(&d, h, crate::commit::SyncStatus::Failed);
@@ -1479,10 +1434,9 @@ mod tests {
     #[test]
     fn dropping_every_clone_joins_the_worker() {
         let vfs = SharedMemVfs::new();
-        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+        let d = FileDisk::create_on(Box::new(vfs), 512, 64, 64 * 1024)
             .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs));
+            .into_shared();
         let d2 = d.clone();
         d2.write(0, 1, &[1u8; 512], true).unwrap();
         drop(d2);

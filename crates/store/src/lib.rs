@@ -17,15 +17,14 @@
 //!   region under a dual-slot superblock protocol that tolerates a torn
 //!   superblock write.
 //!
-//! * **Group commit.** Concurrent durability barriers from multi-queue
-//!   views coalesce into one `fdatasync` per batch window via a ticket
-//!   protocol ([`commit::GroupCommit`]).
-//! * **Async durability pipeline.** With a sync worker attached
-//!   ([`SharedFileDisk::with_sync_worker`]), barriers are *submitted*
-//!   as tickets ([`commit::SyncHandle`]) and resolved by a lock-free
-//!   poll — the `fdatasync` runs on the worker with the disk lock
-//!   released, so reads and journaled writes flow at full rate while a
-//!   sync is in flight.
+//! * **One durability pipeline.** [`FileDisk::into_shared`] starts a
+//!   sync worker, and every barrier of the shared disk is enrolled as a
+//!   ticket ([`commit::SyncHandle`]) that the worker retires — a
+//!   reactor resolves it by a lock-free poll, a blocking caller waits.
+//!   The `fdatasync` runs on the worker with the disk lock released, so
+//!   reads and journaled writes flow at full rate while a sync is in
+//!   flight, and concurrent barriers coalesce into one sync per worker
+//!   round ([`commit::GroupCommit`]).
 //! * **Block cache.** A fixed-capacity segmented-LRU write-back cache
 //!   ([`cache::BlockCache`]) serves read hits with zero syscalls and
 //!   defers in-place applies; dirty entries are pinned to journal

@@ -31,8 +31,10 @@ pub struct StoreMetrics {
     pub replay_ops: Counter,
     /// Checkpoints taken (log full → fold into data region, bump epoch).
     pub checkpoints: Counter,
-    /// Durability barriers retired by another barrier's `fdatasync`
-    /// (group commit) instead of issuing their own.
+    /// Durability barriers retired by a sync they shared with another
+    /// barrier (group commit) or that had run before they enrolled. With
+    /// `fsyncs` from the sync worker they add up to the barriers
+    /// enrolled.
     pub fsyncs_coalesced: Counter,
     /// Tickets retired per group-commit sync (batch size).
     pub commit_batch: Histo,
@@ -55,12 +57,9 @@ pub struct StoreMetrics {
     /// Barrier tickets submitted to the sync worker and not yet retired
     /// (durable or failed). `hwm()` is the deepest the queue has been.
     pub sync_queue_depth: Gauge,
-    /// Barriers handed to the offloaded sync worker instead of running
-    /// `fdatasync` on the calling thread.
+    /// Durability barriers enrolled with the sync worker, each counted
+    /// once whether its caller parks the ticket or blocks on it.
     pub barriers_offloaded: Counter,
-    /// Barriers served by the inline group-commit path (no worker, or
-    /// worker not attached).
-    pub barriers_inline: Counter,
     /// Current block-cache capacity, in blocks (moves when the adaptive
     /// controller resizes the arena).
     pub cache_capacity: Gauge,
@@ -98,7 +97,6 @@ impl StoreMetrics {
         scope.adopt_gauge("live_bytes", &self.live_bytes);
         scope.adopt_gauge("sync_queue_depth", &self.sync_queue_depth);
         scope.adopt_counter("barriers_offloaded", &self.barriers_offloaded);
-        scope.adopt_counter("barriers_inline", &self.barriers_inline);
         scope.adopt_gauge("cache_capacity", &self.cache_capacity);
         scope.adopt_counter("cache_grows", &self.cache_grows);
         scope.adopt_counter("cache_shrinks", &self.cache_shrinks);
@@ -148,7 +146,6 @@ mod tests {
         let m = StoreMetrics::new();
         m.sync_queue_depth.set(2);
         m.barriers_offloaded.add(5);
-        m.barriers_inline.inc();
         m.cache_capacity.set(256);
         m.cache_grows.inc();
         let registry = Registry::new();
@@ -156,7 +153,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("store", "sync_queue_depth").unwrap().0, 2);
         assert_eq!(snap.counter("store", "barriers_offloaded"), 5);
-        assert_eq!(snap.counter("store", "barriers_inline"), 1);
         assert_eq!(snap.gauge("store", "cache_capacity").unwrap().0, 256);
         assert_eq!(snap.counter("store", "cache_grows"), 1);
         assert_eq!(snap.counter("store", "cache_shrinks"), 0);

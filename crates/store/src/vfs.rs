@@ -8,10 +8,10 @@
 //! * [`MemVfs`] — a flat in-memory image with no volatile cache
 //!   (always "durable"), for unit tests and allocation-budget tests;
 //! * [`SharedMemVfs`] — a clone-shareable [`MemVfs`] with slow-sync /
-//!   failing-sync knobs, the harness for sync-worker (offloaded
-//!   durability) tests;
-//! * [`CrashVfs`] — the chaos layer: a volatile-cache model over an
-//!   in-memory image. Writes land in a pending cache and only
+//!   failing-sync / frozen-sync knobs, the harness for sync-worker
+//!   tests;
+//! * [`CrashVfs`] — the chaos layer: a clone-shareable volatile-cache
+//!   model over an in-memory image. Writes land in a pending cache and only
 //!   [`Vfs::sync`] makes them durable. At a chosen syscall index the
 //!   "machine dies": a seeded-random subset of the pending cache —
 //!   including a possibly *torn prefix* of the in-flight write — reaches
@@ -25,6 +25,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// A detached durability barrier onto a [`Vfs`]'s backing storage:
+/// calling it makes every write acknowledged through the handle it came
+/// from durable, exactly like [`Vfs::sync`] on that handle, but it can
+/// run on another thread while the handle keeps serving I/O.
+pub type SyncFn = Box<dyn FnMut() -> io::Result<()> + Send>;
 
 /// Positional I/O + durability barrier: the five syscalls the store is
 /// allowed to make.
@@ -47,12 +53,18 @@ pub trait Vfs: Send {
 
     /// Grows (or truncates) the file to `len` bytes.
     fn set_len(&mut self, len: u64) -> io::Result<()>;
+
+    /// A [`SyncFn`] onto the same backing storage — the handle the
+    /// store's sync worker syncs through.
+    fn sync_fn(&self) -> SyncFn;
 }
 
 /// A real file. `sync` is `fdatasync` — the store's own metadata lives
 /// inside the file body, so inode timestamps need not be durable.
 pub struct RealVfs {
-    file: File,
+    /// Shared with every [`SyncFn`] handed out: syncing the one fd
+    /// flushes the inode.
+    file: Arc<File>,
 }
 
 impl RealVfs {
@@ -64,13 +76,17 @@ impl RealVfs {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(RealVfs { file })
+        Ok(RealVfs {
+            file: Arc::new(file),
+        })
     }
 
     /// Opens an existing store file at `path` for read/write.
     pub fn open(path: &Path) -> io::Result<RealVfs> {
         let file = File::options().read(true).write(true).open(path)?;
-        Ok(RealVfs { file })
+        Ok(RealVfs {
+            file: Arc::new(file),
+        })
     }
 }
 
@@ -93,6 +109,11 @@ impl Vfs for RealVfs {
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)
+    }
+
+    fn sync_fn(&self) -> SyncFn {
+        let file = Arc::clone(&self.file);
+        Box::new(move || file.sync_data())
     }
 }
 
@@ -157,6 +178,11 @@ impl Vfs for MemVfs {
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.image.resize(len as usize, 0);
         Ok(())
+    }
+
+    /// A no-op: writes are durable on return.
+    fn sync_fn(&self) -> SyncFn {
+        Box::new(|| Ok(()))
     }
 }
 
@@ -271,6 +297,11 @@ impl Vfs for SharedMemVfs {
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.image.lock().unwrap().set_len(len)
     }
+
+    fn sync_fn(&self) -> SyncFn {
+        let mut twin = self.clone();
+        Box::new(move || twin.sync())
+    }
 }
 
 /// One write parked in the volatile cache.
@@ -289,7 +320,17 @@ struct PendingWrite {
 /// the same generator family `oaf-chaos` uses, so a failing seed replays
 /// bit-for-bit), the in-flight write survives as a random — possibly
 /// empty, possibly torn — prefix, and every subsequent call fails.
+///
+/// Clones share one machine: a test keeps a clone to read
+/// [`durable_image`](CrashVfs::durable_image) after boxing another into
+/// the disk, and the sync worker's [`SyncFn`] is a clone too, so its
+/// syncs tick the same syscall counter.
+#[derive(Clone)]
 pub struct CrashVfs {
+    state: Arc<Mutex<CrashState>>,
+}
+
+struct CrashState {
     view: Vec<u8>,
     durable: Vec<u8>,
     pending: Vec<PendingWrite>,
@@ -316,56 +357,65 @@ impl CrashVfs {
     /// syscalls (`write_at`, `sync`) from 1; the counter is exposed via
     /// [`CrashVfs::syscalls`] so tests can size kill windows.
     pub fn new(seed: u64, crash_at: Option<u64>) -> CrashVfs {
-        CrashVfs {
-            view: Vec::new(),
-            durable: Vec::new(),
-            pending: Vec::new(),
-            crash_at,
-            syscalls: 0,
-            rng: seed,
-            crashed: false,
-        }
+        CrashVfs::over_image(Vec::new(), seed, crash_at)
     }
 
     /// A crash layer over an existing durable image (e.g. to crash a
     /// store that already survived one crash).
     pub fn over_image(bytes: Vec<u8>, seed: u64, crash_at: Option<u64>) -> CrashVfs {
         CrashVfs {
-            view: bytes.clone(),
-            durable: bytes,
-            pending: Vec::new(),
-            crash_at,
-            syscalls: 0,
-            rng: seed,
-            crashed: false,
+            state: Arc::new(Mutex::new(CrashState {
+                view: bytes.clone(),
+                durable: bytes,
+                pending: Vec::new(),
+                crash_at,
+                syscalls: 0,
+                rng: seed,
+                crashed: false,
+            })),
         }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, CrashState> {
+        self.state.lock().unwrap()
     }
 
     /// Mutating syscalls issued so far.
     pub fn syscalls(&self) -> u64 {
-        self.syscalls
+        self.state().syscalls
     }
 
     /// Whether the injected crash has fired.
     pub fn crashed(&self) -> bool {
-        self.crashed
+        self.state().crashed
     }
 
     /// What the platter holds: the bytes a post-crash mount would see.
     /// (Before a crash this is the synced prefix of history.)
     pub fn durable_image(&self) -> Vec<u8> {
-        self.durable
+        let s = self.state();
+        s.durable
             .iter()
             .copied()
             .chain(std::iter::repeat_n(
                 0,
-                self.view.len().saturating_sub(self.durable.len()),
+                s.view.len().saturating_sub(s.durable.len()),
             ))
             .collect()
     }
+}
 
-    fn dead() -> io::Error {
-        io::Error::other("injected crash: store is dead")
+fn dead() -> io::Error {
+    io::Error::other("injected crash: store is dead")
+}
+
+impl CrashState {
+    fn alive(&self) -> io::Result<()> {
+        if self.crashed {
+            Err(dead())
+        } else {
+            Ok(())
+        }
     }
 
     /// Counts one mutating syscall; returns true when this is the one
@@ -400,25 +450,23 @@ impl CrashVfs {
 
 impl Vfs for CrashVfs {
     fn read_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
-        }
-        let r = range_of(off, buf.len(), self.view.len())?;
-        buf.copy_from_slice(&self.view[r]);
+        let s = self.state();
+        s.alive()?;
+        let r = range_of(off, buf.len(), s.view.len())?;
+        buf.copy_from_slice(&s.view[r]);
         Ok(())
     }
 
     fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
+        let mut s = self.state();
+        s.alive()?;
+        if s.tick() {
+            s.crash(Some((off, buf)));
+            return Err(dead());
         }
-        if self.tick() {
-            self.crash(Some((off, buf)));
-            return Err(Self::dead());
-        }
-        let r = range_of(off, buf.len(), self.view.len())?;
-        self.view[r].copy_from_slice(buf);
-        self.pending.push(PendingWrite {
+        let r = range_of(off, buf.len(), s.view.len())?;
+        s.view[r].copy_from_slice(buf);
+        s.pending.push(PendingWrite {
             off,
             data: buf.to_vec(),
         });
@@ -426,33 +474,35 @@ impl Vfs for CrashVfs {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
-        }
-        if self.tick() {
+        let mut s = self.state();
+        s.alive()?;
+        if s.tick() {
             // Dying inside fsync: the kernel may have written any subset
             // back already — same policy as a write-boundary crash.
-            self.crash(None);
-            return Err(Self::dead());
+            s.crash(None);
+            return Err(dead());
         }
-        self.durable = self.view.clone();
-        self.pending.clear();
+        s.durable = s.view.clone();
+        s.pending.clear();
         Ok(())
     }
 
     fn len(&self) -> io::Result<u64> {
-        if self.crashed {
-            return Err(Self::dead());
-        }
-        Ok(self.view.len() as u64)
+        let s = self.state();
+        s.alive()?;
+        Ok(s.view.len() as u64)
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
-        }
-        self.view.resize(len as usize, 0);
+        let mut s = self.state();
+        s.alive()?;
+        s.view.resize(len as usize, 0);
         Ok(())
+    }
+
+    fn sync_fn(&self) -> SyncFn {
+        let mut twin = self.clone();
+        Box::new(move || twin.sync())
     }
 }
 

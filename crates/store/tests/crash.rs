@@ -27,12 +27,11 @@
 //! under the same kill points and must satisfy the same model.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 use oaf_chaos::rng::ChaosRng;
 use oaf_chaos::CrashPoint;
 use oaf_ssd::BlockStore;
-use oaf_store::vfs::{CrashVfs, MemVfs, Vfs};
+use oaf_store::vfs::{CrashVfs, MemVfs};
 use oaf_store::FileDisk;
 
 const BLOCK: usize = 512;
@@ -42,43 +41,6 @@ const LOG_BYTES: u64 = 64 * 1024;
 /// Kill-window upper bound: the workload loops until the crash fires,
 /// so any point in [1, MAX_OPS] is reachable.
 const MAX_OPS: u64 = 600;
-
-/// A [`CrashVfs`] handle the test keeps after boxing the other clone
-/// into the disk, so the post-crash durable image stays reachable.
-#[derive(Clone)]
-struct SharedCrashVfs(Arc<Mutex<CrashVfs>>);
-
-impl SharedCrashVfs {
-    fn new(seed: u64, crash_at: u64) -> SharedCrashVfs {
-        SharedCrashVfs(Arc::new(Mutex::new(CrashVfs::new(seed, Some(crash_at)))))
-    }
-
-    fn durable_image(&self) -> Vec<u8> {
-        self.0.lock().unwrap().durable_image()
-    }
-
-    fn crashed(&self) -> bool {
-        self.0.lock().unwrap().crashed()
-    }
-}
-
-impl Vfs for SharedCrashVfs {
-    fn read_at(&self, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        self.0.lock().unwrap().read_at(off, buf)
-    }
-    fn write_at(&mut self, off: u64, buf: &[u8]) -> std::io::Result<()> {
-        self.0.lock().unwrap().write_at(off, buf)
-    }
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.0.lock().unwrap().sync()
-    }
-    fn len(&self) -> std::io::Result<u64> {
-        self.0.lock().unwrap().len()
-    }
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        self.0.lock().unwrap().set_len(len)
-    }
-}
 
 fn chaos_seed() -> u64 {
     std::env::var("OAF_CHAOS_SEED")
@@ -106,16 +68,18 @@ fn crash_phase() -> Phase {
     }
 }
 
-/// `OAF_SYNC_OFFLOAD=1` runs the soak through a [`SharedFileDisk`] with
-/// the async sync worker attached: every barrier parks on the worker's
-/// `fdatasync`, so kill points land *inside the offloaded sync* with
-/// acknowledged-volatile state outstanding. The worker thread's
-/// syscalls interleave with the workload's, so the seeded kill point is
-/// reproducible in distribution rather than bit-for-bit — the
-/// allowed-set model is ack-driven and holds for every interleaving.
+/// `OAF_SYNC_OFFLOAD=1` runs the soak through the [`SharedFileDisk`]
+/// every target serves, instead of the owned single-thread disk: every
+/// barrier waits on its sync worker's `fdatasync`, so kill points land
+/// *inside the worker's sync* with acknowledged-volatile state
+/// outstanding. The worker thread's syscalls interleave with the
+/// workload's, so the seeded kill point is reproducible in distribution
+/// rather than bit-for-bit — the allowed-set model is ack-driven and
+/// holds for every interleaving. The default leg stays on the owned
+/// disk, whose inline barrier replays bit-for-bit.
 ///
 /// [`SharedFileDisk`]: oaf_store::SharedFileDisk
-fn sync_offload() -> bool {
+fn shared_disk() -> bool {
     std::env::var("OAF_SYNC_OFFLOAD").as_deref() == Ok("1")
 }
 
@@ -181,15 +145,13 @@ impl Model {
 /// and hold it against the model.
 fn crash_round(seed: u64, phase: Phase, cache_blocks: usize) {
     let point = CrashPoint::seeded(seed, MAX_OPS);
-    let vfs = SharedCrashVfs::new(seed ^ 0x5EED, point.fire_at());
+    let vfs = CrashVfs::new(seed ^ 0x5EED, Some(point.fire_at()));
     let mut rng = ChaosRng::new(seed.wrapping_mul(0x9E37_79B9));
 
     let created = FileDisk::create_on(Box::new(vfs.clone()), BLOCK as u32, BLOCKS, LOG_BYTES)
         .and_then(|d| d.with_cache(cache_blocks));
     let mut disk: Box<dyn BlockStore> = match created {
-        Ok(d) if sync_offload() => {
-            Box::new(d.into_shared().with_sync_worker(Box::new(vfs.clone())))
-        }
+        Ok(d) if shared_disk() => Box::new(d.into_shared()),
         Ok(d) => Box::new(d),
         Err(_) => {
             // Died formatting (kill point 1 or 2): the wreckage has no
@@ -318,8 +280,8 @@ fn crash_round(seed: u64, phase: Phase, cache_blocks: usize) {
         point.fire_at()
     );
 
-    // Tear the dead store down first: in the offload leg this joins the
-    // sync worker, so no thread races the durable-image snapshot.
+    // Tear the dead store down first: in the shared-disk leg this joins
+    // the sync worker, so no thread races the durable-image snapshot.
     drop(disk);
 
     // Mount the wreckage — reads go back through a cache of the same
@@ -396,8 +358,8 @@ fn crash_soak_allowed_set_holds() {
     }
     eprintln!(
         "crash soak: {torn_total} kill points survived (phase {phase:?}, caches {caps:?}, \
-         offload {}, base seed {base:#x})",
-        sync_offload()
+         shared {}, base seed {base:#x})",
+        shared_disk()
     );
 }
 
@@ -411,7 +373,7 @@ fn crash_during_checkpoint_is_survivable() {
     for cap in [0usize, 4] {
         for seed in 0..32u64 {
             let point = CrashPoint::seeded(seed, 400);
-            let vfs = SharedCrashVfs::new(seed ^ (cap as u64) << 32, point.fire_at());
+            let vfs = CrashVfs::new(seed ^ (cap as u64) << 32, Some(point.fire_at()));
             let created = FileDisk::create_on(Box::new(vfs.clone()), 512, 16, 64 * 1024)
                 .and_then(|d| d.with_cache(cap));
             let mut disk = match created {

@@ -1,120 +1,23 @@
 //! Group-commit coalescing under real concurrency.
 //!
 //! N threads hammer one [`SharedFileDisk`] with FUA writes (and some
-//! Flushes). The coordinator must retire many barriers on one
+//! Flushes). The sync worker must retire many barriers on one
 //! `fdatasync`: the acceptance bar is ≥2× coalescing (`fsyncs` ≤
-//! barriers/2), every barrier accounted for (no lost wakeups — the test
-//! would hang), and no data loss. The bar is checked on the sync-worker
-//! path, where coalescing is forced by freezing a sync in flight until
-//! every barrier has enrolled, never by timing; the inline path is
-//! checked for the invariants that hold under any schedule.
+//! barriers/2), every barrier accounted for exactly once (no lost
+//! wakeups — the test would hang), and no data loss. Coalescing is
+//! forced by freezing a sync in flight until every barrier has enrolled,
+//! never by timing.
 //!
 //! [`SharedFileDisk`]: oaf_store::SharedFileDisk
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use oaf_store::vfs::{MemVfs, SharedMemVfs, Vfs};
+use oaf_store::vfs::{MemVfs, SharedMemVfs};
 use oaf_store::{FileDisk, SyncStatus};
-
-/// A [`MemVfs`] whose `sync` takes ~a device barrier's time, so
-/// concurrent barriers actually overlap even on a single-core runner.
-#[derive(Clone)]
-struct SlowSyncVfs {
-    inner: Arc<Mutex<MemVfs>>,
-    syncs: Arc<AtomicU64>,
-}
-
-impl SlowSyncVfs {
-    fn new() -> SlowSyncVfs {
-        SlowSyncVfs {
-            inner: Arc::new(Mutex::new(MemVfs::new())),
-            syncs: Arc::new(AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Vfs for SlowSyncVfs {
-    fn read_at(&self, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        self.inner.lock().unwrap().read_at(off, buf)
-    }
-    fn write_at(&mut self, off: u64, buf: &[u8]) -> std::io::Result<()> {
-        self.inner.lock().unwrap().write_at(off, buf)
-    }
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.syncs.fetch_add(1, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_micros(400));
-        self.inner.lock().unwrap().sync()
-    }
-    fn len(&self) -> std::io::Result<u64> {
-        self.inner.lock().unwrap().len()
-    }
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        self.inner.lock().unwrap().set_len(len)
-    }
-}
 
 const WRITERS: u64 = 8;
 const ROUNDS: u64 = 24;
-
-/// The default inline path: each barrier's leader runs the `fdatasync`
-/// itself while later barriers coalesce behind it. How many coalesce is
-/// up to the scheduler, so only the timing-free invariants are checked
-/// here; the exact ≥2× bar is held by the frozen-sync test below.
-#[test]
-fn inline_fua_and_flush_writers_account_for_every_barrier() {
-    let vfs = SlowSyncVfs::new();
-    let disk = FileDisk::create_on(Box::new(vfs.clone()), 512, 256, 256 * 1024)
-        .unwrap()
-        .with_cache(64)
-        .unwrap()
-        .into_shared();
-
-    let threads: Vec<_> = (0..WRITERS)
-        .map(|t| {
-            let d = disk.clone();
-            std::thread::spawn(move || {
-                for i in 0..ROUNDS {
-                    let lba = t * ROUNDS + i;
-                    let stamp = (lba % 250) as u8 + 1;
-                    if i % 6 == 5 {
-                        d.write(lba, 1, &[stamp; 512], false).unwrap();
-                        d.flush().unwrap();
-                    } else {
-                        d.write(lba, 1, &[stamp; 512], true).unwrap();
-                    }
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap(); // a lost wakeup would hang here
-    }
-
-    let m = disk.metrics();
-    let barriers = WRITERS * ROUNDS; // every op ends in a barrier
-    let led = m.fsyncs.get();
-    assert_eq!(m.barriers_inline.get(), barriers);
-    assert_eq!(
-        led + m.fsyncs_coalesced.get(),
-        barriers,
-        "every barrier must either lead one sync or coalesce into one"
-    );
-    assert!(vfs.syncs.load(Ordering::SeqCst) >= led);
-    assert_eq!(m.commit_batch.snapshot().count, led);
-
-    assert!(disk.group_commit().durable_seq() >= barriers);
-    let mut out = [0u8; 512];
-    for lba in 0..WRITERS * ROUNDS {
-        disk.read(lba, 1, &mut out).unwrap();
-        let want = (lba % 250) as u8 + 1;
-        assert!(
-            out.iter().all(|&b| b == want),
-            "lba {lba}: FUA-acknowledged write lost through group commit"
-        );
-    }
-}
 
 /// Each round: a pacer barrier's sync is frozen in flight, every writer
 /// then journals one write and enrolls its barrier behind it, and only
@@ -128,10 +31,10 @@ fn concurrent_fua_writers_coalesce_at_least_2x() {
         .unwrap()
         .with_cache(64)
         .unwrap()
-        .into_shared()
-        .with_sync_worker(Box::new(vfs.clone()));
+        .into_shared();
     let m = Arc::clone(disk.metrics());
     let fsyncs0 = m.fsyncs.get();
+    let syncs0 = vfs.syncs();
     let batches0 = m.commit_batch.snapshot();
 
     let start = Arc::new(Barrier::new(WRITERS as usize + 1));
@@ -160,7 +63,7 @@ fn concurrent_fua_writers_coalesce_at_least_2x() {
 
     for round in 0..ROUNDS {
         vfs.hold_syncs(true);
-        let pacer = disk.flush_async().unwrap().expect("sync worker attached");
+        let pacer = disk.flush_async().unwrap();
         while vfs.held_syncs() == 0 {
             std::thread::yield_now();
         }
@@ -181,11 +84,20 @@ fn concurrent_fua_writers_coalesce_at_least_2x() {
     let barriers = ROUNDS * (WRITERS + 1); // every op ends in a barrier
     let led = m.fsyncs.get() - fsyncs0;
     assert_eq!(m.barriers_offloaded.get(), barriers);
-    assert_eq!(m.barriers_inline.get(), 0);
     assert_eq!(
         led,
         2 * ROUNDS,
         "one fsync for the pacer, one for the writers"
+    );
+    assert_eq!(
+        vfs.syncs() - syncs0,
+        led,
+        "every device sync ran on the worker"
+    );
+    assert_eq!(
+        led + m.fsyncs_coalesced.get(),
+        barriers,
+        "every barrier either got its own sync or coalesced into one"
     );
     assert!(
         led * 2 <= barriers,
@@ -212,12 +124,45 @@ fn concurrent_fua_writers_coalesce_at_least_2x() {
     }
 }
 
+/// One barrier accounting rule: blocking and parked barriers, including
+/// ones some earlier sync already covered, each count once in
+/// `barriers_offloaded`, and the worker's syncs plus the coalesced
+/// barriers add up to exactly the barriers issued.
+#[test]
+fn blocking_and_async_barriers_count_once_each() {
+    let disk = FileDisk::create_on(Box::new(MemVfs::new()), 512, 64, 256 * 1024)
+        .unwrap()
+        .into_shared();
+    let m = Arc::clone(disk.metrics());
+    let await_durable = |h| {
+        while disk.poll_barrier(h) == SyncStatus::Pending {
+            std::thread::yield_now();
+        }
+        assert_eq!(disk.poll_barrier(h), SyncStatus::Durable);
+    };
+    disk.write(0, 1, &[1u8; 512], true).unwrap();
+    await_durable(disk.write_async(1, 1, &[2u8; 512], true).unwrap().unwrap());
+    disk.flush().unwrap();
+    await_durable(disk.flush_async().unwrap());
+    // Barriers on records the syncs above already covered, through the
+    // parked and the blocking face.
+    let gc = disk.group_commit();
+    await_durable(gc.enrol(1, &m));
+    gc.wait(gc.enrol(2, &m)).unwrap();
+
+    let barriers = 6;
+    assert_eq!(m.barriers_offloaded.get(), barriers);
+    assert!(m.fsyncs_coalesced.get() >= 2, "covered barriers coalesce");
+    assert_eq!(m.fsyncs.get() + m.fsyncs_coalesced.get(), barriers);
+}
+
 #[test]
 fn group_commit_keeps_fua_durable_across_reopen() {
     // The coalesced path must be as crash-safe as the solo path: after
     // the threads finish, the durable image alone (no process state)
     // must hold every FUA write.
-    let vfs = SlowSyncVfs::new();
+    let vfs = SharedMemVfs::new();
+    vfs.set_sync_delay(Duration::from_micros(400));
     let disk = FileDisk::create_on(Box::new(vfs.clone()), 512, 128, 128 * 1024)
         .unwrap()
         .with_cache(16)
@@ -240,13 +185,7 @@ fn group_commit_keeps_fua_durable_across_reopen() {
         t.join().unwrap();
     }
 
-    let image = {
-        let len = vfs.len().unwrap();
-        let mut img = vec![0u8; len as usize];
-        vfs.read_at(0, &mut img).unwrap();
-        img
-    };
-    let reopened = FileDisk::open_on(Box::new(MemVfs::from_image(image))).unwrap();
+    let reopened = FileDisk::open_on(Box::new(MemVfs::from_image(vfs.image()))).unwrap();
     use oaf_ssd::BlockStore;
     let mut out = [0u8; 512];
     for lba in 0..64u64 {

@@ -1,46 +1,14 @@
 //! Reviewer repro: stale log-record resurrection after torn-tail truncation.
 
-use std::sync::{Arc, Mutex};
-
 use oaf_ssd::BlockStore;
 use oaf_store::log::{LOG_OFFSET, REC_HDR_LEN};
-use oaf_store::vfs::{MemVfs, Vfs};
+use oaf_store::vfs::{MemVfs, SharedMemVfs};
 use oaf_store::FileDisk;
-
-#[derive(Clone)]
-struct SharedMem(Arc<Mutex<MemVfs>>);
-
-impl SharedMem {
-    fn new(img: Vec<u8>) -> Self {
-        SharedMem(Arc::new(Mutex::new(MemVfs::from_image(img))))
-    }
-    fn image(&self) -> Vec<u8> {
-        self.0.lock().unwrap().image()
-    }
-}
-
-impl Vfs for SharedMem {
-    fn read_at(&self, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        self.0.lock().unwrap().read_at(off, buf)
-    }
-    fn write_at(&mut self, off: u64, buf: &[u8]) -> std::io::Result<()> {
-        self.0.lock().unwrap().write_at(off, buf)
-    }
-    fn sync(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-    fn len(&self) -> std::io::Result<u64> {
-        self.0.lock().unwrap().len()
-    }
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        self.0.lock().unwrap().set_len(len)
-    }
-}
 
 #[test]
 fn stale_record_resurrection_loses_fua_write() {
     // Run 1: two unflushed writes. seq 1 -> lba 0, seq 2 -> lba 1.
-    let v1 = SharedMem::new(Vec::new());
+    let v1 = SharedMemVfs::new();
     let mut d = FileDisk::create_on(Box::new(v1.clone()), 512, 64, 64 * 1024).unwrap();
     d.write(0, 1, &[0x01u8; 512], false).unwrap(); // seq 1
     d.write(1, 1, &[0x02u8; 512], false).unwrap(); // seq 2
@@ -52,7 +20,7 @@ fn stale_record_resurrection_loses_fua_write() {
 
     // Mount 1: recovery truncates at seq 1; both writes rolled back (OK,
     // neither was acknowledged durable).
-    let v2 = SharedMem::new(img);
+    let v2 = SharedMemVfs::from_image(img);
     let mut d2 = FileDisk::open_on(Box::new(v2.clone())).unwrap();
 
     // New FUA write to lba 1: acknowledged durable.
@@ -61,7 +29,7 @@ fn stale_record_resurrection_loses_fua_write() {
     d2.read(1, 1, &mut out).unwrap();
     assert!(out.iter().all(|&b| b == 0x33));
 
-    // Crash 2 (SharedMem is always-durable, so the image is exactly the
+    // Crash 2 (SharedMemVfs is always-durable, so the image is exactly the
     // platter). Mount 2 must preserve the FUA-acknowledged 0x33.
     let d3 = FileDisk::open_on(Box::new(MemVfs::from_image(v2.image()))).unwrap();
     d3.read(1, 1, &mut out).unwrap();
