@@ -243,9 +243,10 @@ impl SharedMemVfs {
         self.ctl.fail.store(fail, Ordering::SeqCst);
     }
 
-    /// While held, [`Vfs::sync`] spins (allocation-free) without
-    /// touching the image — a sync frozen in flight, released on
-    /// demand.
+    /// While held, [`Vfs::sync`] waits without touching the image — a
+    /// sync frozen in flight, released on demand. The wait sleeps in
+    /// short, allocation-free steps, so a frozen sync takes no CPU from
+    /// the threads a test is timing.
     pub fn hold_syncs(&self, hold: bool) {
         self.ctl.hold.store(hold, Ordering::SeqCst);
     }
@@ -278,7 +279,7 @@ impl Vfs for SharedMemVfs {
         if self.ctl.hold.load(Ordering::SeqCst) {
             self.ctl.held.fetch_add(1, Ordering::SeqCst);
             while self.ctl.hold.load(Ordering::SeqCst) {
-                std::thread::yield_now();
+                std::thread::sleep(Duration::from_micros(100));
             }
             self.ctl.held.fetch_sub(1, Ordering::SeqCst);
         }

@@ -7,15 +7,19 @@
 //! Every shared file-backed store retires its barriers on its own sync
 //! worker, so the reactor never enters the sync. These tests wire a
 //! file-backed namespace the default way (`Namespace::with_file` behind
-//! the shard runtime), *freeze* the device sync with
-//! [`SharedMemVfs::hold_syncs`] while a FUA write is in flight, and pin
-//! what that buys: reads on the same and on a second connection of the
-//! shard keep completing on live 10 ms deadlines, keep-alives keep being
-//! answered, and a peer that really goes silent mid-barrier is still
-//! declared dead. Freezing instead of sleeping makes the window as long
-//! as the test needs, on any machine.
+//! the shard runtime) and pin what that buys: a sync far slower than
+//! the command deadline and the keep-alive grace fires nothing; with
+//! the device sync *frozen* by [`SharedMemVfs::hold_syncs`] (as long as
+//! the test needs, on any machine), reads on the same and on a second
+//! connection of the shard keep completing on live 10 ms deadlines and
+//! keep-alives keep being answered; and a peer that really goes silent
+//! mid-barrier is still declared dead.
+//!
+//! The tests run one at a time ([`serial`]): each one times a reactor
+//! against 10 ms deadlines and a 30 ms grace, and a sibling test's
+//! threads on the same cores would only add scheduling noise.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -36,6 +40,13 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 const BS: usize = 4096;
 const BLOCKS: u64 = 64;
 
+/// Holds the one-test-at-a-time lock; a failed sibling does not poison
+/// it for the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Deadline and keep-alive tuned for a fast fabric. Only a barrier's
 /// own deadline is padded (`barrier_grace`), far past the frozen window
 /// below; everything else runs on live time.
@@ -54,7 +65,7 @@ fn twitchy_options() -> InitiatorOptions {
 }
 
 /// Releases a frozen sync when dropped, so a failing assertion cannot
-/// leave a thread spinning inside the held sync during teardown.
+/// leave the sync worker waiting inside the held sync during teardown.
 struct Thaw(SharedMemVfs);
 
 impl Drop for Thaw {
@@ -96,8 +107,55 @@ fn await_frozen_sync(vfs: &SharedMemVfs) {
     }
 }
 
+/// A FUA write whose sync takes 80 ms — 8× the command deadline and
+/// 2.7× the keep-alive grace — plus a read riding along in the same
+/// window and two back-to-back flushes: nothing spurious fires, since
+/// the reactor keeps answering while the sync worker waits out the
+/// device.
 #[test]
-fn frozen_sync_keeps_reads_flowing_without_timeout_or_peer_death() {
+fn slow_fsync_does_not_fire_timeout_or_peer_death() {
+    let _serial = serial();
+    let vfs = SharedMemVfs::new();
+    vfs.set_sync_delay(Duration::from_millis(80));
+    let registry = Arc::new(Registry::new());
+    let (ct, tt) = MemTransport::pair();
+    let handle = file_target(&vfs, vec![tt], &registry);
+    let mut ini = Initiator::connect(ct, twitchy_options(), None, TIMEOUT).expect("connect");
+
+    let w = ini
+        .submit_write_fua(1, 3, 1, Bytes::from(vec![0xA5u8; BS]))
+        .expect("submit fua");
+    let r = ini.submit_read(1, 0, 1, BS).expect("submit read");
+    let wres = ini.wait(w, TIMEOUT).expect("fua write survives slow sync");
+    assert!(wres.status.is_ok(), "fua write status: {:?}", wres.status);
+    let rres = ini.wait(r, TIMEOUT).expect("read survives slow sync");
+    assert!(rres.status.is_ok(), "read status: {:?}", rres.status);
+
+    for _ in 0..2 {
+        let f = ini.submit_flush(1).expect("submit flush");
+        let fres = ini.wait(f, TIMEOUT).expect("flush survives slow sync");
+        assert!(fres.status.is_ok(), "flush status: {:?}", fres.status);
+    }
+
+    let m = ini.metrics();
+    assert_eq!(m.timeouts.get(), 0, "spurious Timeout fired");
+    assert_eq!(m.retries.get(), 0, "spurious deadline retry fired");
+    assert_eq!(m.aborts_sent.get(), 0, "spurious abort round-trip fired");
+    assert_eq!(m.degradations.get(), 0, "spurious degradation fired");
+    assert!(ini.take_timed_out().is_empty());
+
+    ini.disconnect().expect("disconnect");
+    handle.shutdown().expect("target shutdown");
+}
+
+/// With the FUA's sync frozen on the sync worker, both connections of
+/// the shard keep reading on live 10 ms deadlines for several
+/// keep-alive graces, and nothing spurious fires.
+#[test]
+fn offloaded_sync_keeps_reads_flowing_during_barrier() {
+    const ROUNDS: usize = 8;
+    const IDLE_GAP: Duration = Duration::from_millis(15);
+    let _serial = serial();
     let vfs = SharedMemVfs::new();
     let registry = Arc::new(Registry::new());
     let (ct_a, tt_a) = MemTransport::pair();
@@ -119,21 +177,29 @@ fn frozen_sync_keeps_reads_flowing_without_timeout_or_peer_death() {
         .expect("submit fua");
     await_frozen_sync(&vfs);
 
-    // While the sync stays frozen, both connections keep reading on
-    // live 10 ms deadlines for several keep-alive graces. A reactor
-    // stuck in the sync would answer none of these.
-    let window = Instant::now();
-    let mut reads = 0;
-    while window.elapsed() < Duration::from_millis(100) {
-        for (ini, lba, fill) in [(&mut a, 0, 0x11u8), (&mut b, 1, 0x22)] {
-            let r = ini.submit_read(1, lba, 1, BS).expect("submit read");
+    // While the sync stays frozen, run rounds of one read on each
+    // connection, collected together so neither sits unpolled while
+    // the test waits on the other, then let both idle past the
+    // keep-alive interval, so probes go out and must be answered. The
+    // rounds span several keep-alive graces. A reactor stuck in the
+    // sync would answer none of this.
+    for _ in 0..ROUNDS {
+        let ra = a.submit_read(1, 0, 1, BS).expect("submit read a");
+        let rb = b.submit_read(1, 1, 1, BS).expect("submit read b");
+        for (ini, r, fill) in [(&mut a, ra, 0x11u8), (&mut b, rb, 0x22)] {
             let res = ini.wait(r, TIMEOUT).expect("read beside a frozen sync");
             assert!(res.status.is_ok(), "read status: {:?}", res.status);
             assert!(res.data.iter().all(|&x| x == fill), "read wrong data");
-            reads += 1;
+        }
+        let idle = Instant::now();
+        while idle.elapsed() < IDLE_GAP {
+            for ini in [&mut a, &mut b] {
+                let done = ini.poll().expect("keep-alive beside a frozen sync");
+                assert!(done.is_empty(), "a completion beside a frozen sync");
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
-    assert!(reads >= 10, "only {reads} reads in the frozen window");
     assert_eq!(vfs.held_syncs(), 1, "the FUA's sync thawed early");
 
     // Thaw: the FUA completes once durable, and later barriers on
@@ -170,6 +236,7 @@ fn frozen_sync_keeps_reads_flowing_without_timeout_or_peer_death() {
 /// keep-alive grace, long before the barrier's own padded deadline.
 #[test]
 fn keepalive_still_detects_a_peer_wedged_past_the_grace() {
+    let _serial = serial();
     let vfs = SharedMemVfs::new();
     let registry = Arc::new(Registry::new());
     let (ct_raw, tt_raw) = MemTransport::pair();
